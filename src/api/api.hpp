@@ -14,7 +14,7 @@
 // SolveSpec    — registry method spec + k/objective/seed/budget/restarts/
 //                threads; one struct instead of SolverRequest +
 //                PortfolioRunner wiring at every call site.
-// Engine       — async submit/solve over the service JobScheduler and the
+// Engine       — async submit/solve over the runtime JobScheduler and the
 //                process ThreadBudget, with an LRU result cache riding on
 //                deterministic solves.
 // SolveHandle  — wait / poll / cancel (anytime best-so-far) / streamed

@@ -1,5 +1,5 @@
 // api::Engine — the one async solve facade everything in the repo runs
-// through. submit(Problem, SolveSpec) maps the spec onto the service
+// through. submit(Problem, SolveSpec) maps the spec onto the runtime
 // JobScheduler (always: the CLI's one-shot solve and a daemon tenant's job
 // take the identical code path, lease workers from the same ThreadBudget,
 // and honor the same determinism contract) and returns a SolveHandle —
@@ -26,7 +26,7 @@
 #include "api/result_cache.hpp"
 #include "api/solve_spec.hpp"
 #include "evolve/elite_archive.hpp"
-#include "service/job_scheduler.hpp"
+#include "runtime/job_scheduler.hpp"
 
 namespace ffp::persist {
 class Journal;  // persist/journal.hpp

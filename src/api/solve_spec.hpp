@@ -3,7 +3,7 @@
 // wall clock), portfolio restarts, intra-run thread want, and queue
 // priority. This struct replaces the raw SolverRequest + PortfolioRunner
 // wiring every tool, bench and example used to carry: the facade maps it
-// onto a service JobSpec, so the CLI, the daemon, and embedded callers all
+// onto a runtime JobSpec, so the CLI, the daemon, and embedded callers all
 // run the identical pipeline.
 //
 // Determinism is part of the spec, not the call site: resolved_steps()

@@ -79,10 +79,10 @@
 #include "core/laws.hpp"
 #include "core/scaling.hpp"
 #include "metaheuristics/anytime.hpp"
-#include "service/thread_budget.hpp"
 #include "partition/objective_tracker.hpp"
 #include "partition/objectives.hpp"
 #include "partition/partition.hpp"
+#include "runtime/thread_budget.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
@@ -130,7 +130,7 @@ struct FusionFissionOptions {
   /// Optional shared worker pool (solver/worker_pool.hpp). When null and
   /// threads > 1, run() creates a private pool for the run.
   std::shared_ptr<ThreadPool> pool;
-  /// Optional process-wide governor (service/thread_budget.hpp). When set
+  /// Optional process-wide governor (runtime/thread_budget.hpp). When set
   /// and no pool was injected, the run *leases* its speculation workers:
   /// `threads` becomes a want, the pool is sized to the grant (possibly
   /// inline-only), and the slots return when the run ends. `threads` and

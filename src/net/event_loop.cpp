@@ -68,7 +68,11 @@ struct EventLoopServer::Conn {
   std::string inbuf;
   std::size_t inpos = 0;  ///< start of the first unconsumed byte
   bool read_closed = false;
+  /// A result op is waiting on its job: later requests stay unread (and
+  /// unprocessed) until it is answered, and the idle clock is stopped.
+  bool awaiting_result = false;
   double last_activity_ms = 0;
+  std::uint32_t interest = EPOLLIN;  ///< current epoll event mask
 
   // Write side (shared with emit closures).
   std::mutex out_mu;
@@ -76,7 +80,6 @@ struct EventLoopServer::Conn {
   std::size_t outpos = 0;
   bool dead = false;  ///< set under out_mu; emits become drops
   double write_stall_since_ms = -1;  ///< -1: not stalled
-  bool want_write = false;  ///< current EPOLLOUT interest
 
   std::unique_ptr<ServiceSession> session;
 };
@@ -108,10 +111,9 @@ EventLoopServer::EventLoopServer(ServiceHost& host, EventLoopOptions options)
   FFP_CHECK(options_.max_clients >= 1,
             "EventLoopServer needs max_clients >= 1");
   // The loop's transports never block and never wait: sessions deliver
-  // results through the async terminal callbacks, and teardown abandons
-  // cancelled jobs immediately (the final scheduler shutdown bounds them).
+  // results through the async terminal callbacks, and teardown leaves
+  // cancelled jobs to the final scheduler shutdown.
   options_.session.async_results = true;
-  options_.session.teardown_wait_ms = -1;
   listener_ = tcp_listen(options_.port, &port_);
   make_nonblocking(listener_.get());
   epoll_ = FdHandle(::epoll_create1(EPOLL_CLOEXEC));
@@ -142,16 +144,6 @@ void EventLoopServer::run() {
   epoll_add(listener_.get(), EPOLLIN);
   epoll_add(wake_.get(), EPOLLIN);
   epoll_add(stop_.get(), EPOLLIN);
-
-  auto set_write_interest = [&](Conn& c, bool want) {
-    if (c.want_write == want || !c.fd.valid()) return;
-    epoll_event ev{};
-    ev.events = EPOLLIN | (want ? EPOLLOUT : 0u);
-    ev.data.fd = c.raw_fd;
-    if (::epoll_ctl(epoll_.get(), EPOLL_CTL_MOD, c.raw_fd, &ev) == 0) {
-      c.want_write = want;
-    }
-  };
 
   /// Tears one connection down on the loop thread: emits go dead, the
   /// session cancels its jobs (no-wait), the fd leaves the epoll set and
@@ -202,22 +194,36 @@ void EventLoopServer::run() {
     return true;
   };
 
-  /// After a flush: adjust EPOLLOUT interest (outside out_mu is fine —
-  /// only the loop thread touches interest).
-  auto settle_write_interest = [&](const std::shared_ptr<Conn>& c) {
+  /// After a flush: EPOLLOUT while response bytes are pending, EPOLLIN
+  /// while there is something to read — not after end-of-file (a
+  /// level-triggered EOF would wake the loop forever) and not while a
+  /// result is awaited (the peer's later requests wait in its socket).
+  /// Only the loop thread touches interest, so outside out_mu is fine.
+  auto settle_interest = [&](const std::shared_ptr<Conn>& c) {
     bool pending = false;
     {
       std::lock_guard lock(c->out_mu);
       pending = c->outpos < c->outbuf.size();
     }
-    set_write_interest(*c, pending);
+    const std::uint32_t want =
+        (c->read_closed || c->awaiting_result ? 0u : EPOLLIN) |
+        (pending ? EPOLLOUT : 0u);
+    if (c->interest == want || !c->fd.valid()) return;
+    epoll_event ev{};
+    ev.events = want;
+    ev.data.fd = c->raw_fd;
+    if (::epoll_ctl(epoll_.get(), EPOLL_CTL_MOD, c->raw_fd, &ev) == 0) {
+      c->interest = want;
+    }
   };
 
-  /// Clean-EOF reap: a read-closed connection with no unfinished jobs, no
-  /// unclaimed results and an empty outbound buffer has nothing left to
-  /// say — the loop edition of TcpServer's drain-then-close.
+  /// Clean-EOF reap: a read-closed connection with no unprocessed
+  /// requests, no unfinished jobs, no unclaimed results and an empty
+  /// outbound buffer has nothing left to say — drain-then-close without
+  /// blocking the loop.
   auto reap_if_finished = [&](const std::shared_ptr<Conn>& c) {
     if (!c->read_closed || c->session == nullptr) return;
+    if (c->inpos < c->inbuf.size()) return;
     if (c->session->pending_work() > 0) return;
     bool pending = false;
     {
@@ -228,10 +234,18 @@ void EventLoopServer::run() {
   };
 
   /// Consumes every complete line in the inbuf (plus, at EOF, a final
-  /// unterminated one — LineReader's rule). Returns false when the
-  /// connection must be dropped.
+  /// unterminated one — LineReader's rule), in order: a result op still
+  /// waiting on its job holds back the lines behind it, so replies leave
+  /// in request order and the idle clock restarts once it is answered.
+  /// Returns false when the connection must be dropped.
   auto process_lines = [&](const std::shared_ptr<Conn>& c) -> bool {
     for (;;) {
+      const bool awaiting = c->session->result_pending();
+      if (c->awaiting_result && !awaiting) {
+        c->last_activity_ms = clock.elapsed_millis();
+      }
+      c->awaiting_result = awaiting;
+      if (awaiting) return true;
       const auto nl = c->inbuf.find('\n', c->inpos);
       if (nl == std::string::npos) {
         if (c->inbuf.size() - c->inpos > kMaxLineBytes) {
@@ -274,6 +288,22 @@ void EventLoopServer::run() {
     return true;
   };
 
+  /// Serves what the connection has buffered, flushes the replies, then
+  /// settles its interest or reaps it.
+  auto pump = [&](const std::shared_ptr<Conn>& c) {
+    if (!process_lines(c)) {
+      (void)flush(c);  // best-effort goodbye (shutdown bye, error line)
+      drop(c);
+      return;
+    }
+    if (!flush(c)) {
+      drop(c);
+      return;
+    }
+    settle_interest(c);
+    reap_if_finished(c);
+  };
+
   auto on_readable = [&](const std::shared_ptr<Conn>& c) {
     for (int i = 0; i < kMaxReadsPerEvent; ++i) {
       if (fault::fire(fault::Point::ConnDrop)) {
@@ -297,13 +327,7 @@ void EventLoopServer::run() {
       c->inbuf.append(buf, static_cast<std::size_t>(n));
       c->last_activity_ms = clock.elapsed_millis();
     }
-    if (!process_lines(c) || !flush(c)) {
-      (void)flush(c);  // best-effort goodbye (shutdown bye, error line)
-      drop(c);
-      return;
-    }
-    settle_write_interest(c);
-    reap_if_finished(c);
+    pump(c);
   };
 
   auto accept_new = [&] {
@@ -318,9 +342,10 @@ void EventLoopServer::run() {
       }
       FdHandle fd(raw);
       if (fault::fire(fault::Point::AcceptFail)) continue;  // injected drop
+      set_nodelay(raw);
       if (conns.size() >= options_.max_clients) {
-        // Overload shedding, TcpServer policy: immediate structured
-        // rejection, never a queue slot. Best-effort single send.
+        // Overload shedding: immediate structured rejection, never a
+        // queue slot. Best-effort single send.
         stats.sheds.fetch_add(1, std::memory_order_relaxed);
         const std::string line =
             format_error("",
@@ -389,12 +414,7 @@ void EventLoopServer::run() {
         for (const auto& wconn : state_->take_dirty()) {
           const auto c = wconn.lock();
           if (c == nullptr || c->dead) continue;
-          if (!flush(c)) {
-            drop(c);
-            continue;
-          }
-          settle_write_interest(c);
-          reap_if_finished(c);
+          pump(c);  // a delivered result may release held requests
         }
         continue;
       }
@@ -414,7 +434,7 @@ void EventLoopServer::run() {
           drop(c);
           continue;
         }
-        settle_write_interest(c);
+        settle_interest(c);
         reap_if_finished(c);
         if (c->dead) continue;
       }
@@ -443,6 +463,7 @@ void EventLoopServer::run() {
         }
       }
       if (options_.idle_timeout_ms > 0 && !c->read_closed &&
+          !c->awaiting_result &&
           now - c->last_activity_ms > options_.idle_timeout_ms) {
         idle.push_back(c);
         continue;
@@ -466,9 +487,9 @@ void EventLoopServer::run() {
     }
   }
 
-  // Drain, TcpServer's shape: no new connections, flush what we can,
-  // tear every session down (cancelling its jobs; no waiting on the
-  // loop thread), then let the scheduler finish the running remainder.
+  // Drain: no new connections, flush what we can, tear every session
+  // down (cancelling its jobs; no waiting on the loop thread), then let
+  // the scheduler finish the running remainder.
   shutdown_both(listener_);
   std::vector<std::shared_ptr<Conn>> live;
   live.reserve(conns.size());

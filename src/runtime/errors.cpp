@@ -1,4 +1,4 @@
-#include "service/errors.hpp"
+#include "runtime/errors.hpp"
 
 namespace ffp {
 

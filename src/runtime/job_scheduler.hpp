@@ -1,9 +1,10 @@
-// Multi-tenant job scheduling over the solver engine layer: the service
-// subsystem's core. Clients submit JobSpecs (graph + method spec + budget +
-// seed + priority); a fixed set of runner threads executes them
-// highest-priority-first (FIFO within a priority), each solve leasing its
-// workers from a ThreadBudget so N concurrent jobs can never oversubscribe
-// the machine no matter how much intra-run parallelism each one asks for.
+// Multi-tenant job scheduling over the solver engine layer: the runtime
+// layer's core, beneath api::Engine and the service above it. Clients
+// submit JobSpecs (graph + method spec + budget + seed + priority); a
+// fixed set of runner threads executes them highest-priority-first
+// (FIFO within a priority), each solve leasing its workers from a
+// ThreadBudget so N concurrent jobs can never oversubscribe the machine
+// no matter how much intra-run parallelism each one asks for.
 //
 // Determinism contract (what the service tests prove): a job's result
 // depends only on its JobSpec — seed, step budget, method, k, objective.
@@ -40,8 +41,8 @@
 #include <vector>
 
 #include "metaheuristics/anytime.hpp"
-#include "service/errors.hpp"
-#include "service/thread_budget.hpp"
+#include "runtime/errors.hpp"
+#include "runtime/thread_budget.hpp"
 #include "solver/solver.hpp"
 
 namespace ffp {

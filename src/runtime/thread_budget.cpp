@@ -1,4 +1,4 @@
-#include "service/thread_budget.hpp"
+#include "runtime/thread_budget.hpp"
 
 #include <algorithm>
 #include <thread>

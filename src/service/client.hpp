@@ -1,7 +1,7 @@
 // ServiceClient — the resilient client side of the service protocol, as a
 // library (ffp_client's graph mode is a thin wrapper; the chaos tests
-// drive it in-process against a TcpServer). It owns the retry loop the
-// protocol's error taxonomy exists for:
+// drive it in-process against an EventLoopServer). It owns the retry loop
+// the protocol's error taxonomy exists for:
 //
 //   * Fatal error events (bad_request, job_failed, ...) fail the one job
 //     they name, permanently.
@@ -30,7 +30,7 @@
 #include <string>
 #include <vector>
 
-#include "service/errors.hpp"
+#include "runtime/errors.hpp"
 
 namespace ffp {
 

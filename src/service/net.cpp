@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstring>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -96,7 +97,7 @@ FdHandle tcp_listen(int port, int* bound_port) {
   if (::bind(fd.get(), reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
     fail_errno("bind 127.0.0.1:" + std::to_string(port));
   }
-  // A deep backlog: the event-loop server absorbs thousand-connection
+  // A deep backlog: the event loop absorbs thousand-connection
   // bursts, and a full backlog turns into SYN-retransmit stalls (seconds
   // per connect) on the client side, not a clean refusal.
   if (::listen(fd.get(), SOMAXCONN) != 0) fail_errno("listen");
@@ -124,6 +125,7 @@ FdHandle tcp_accept(const FdHandle& listener) {
         throw ServiceError(ErrCode::ConnLost,
                            "injected fault: accepted connection destroyed");
       }
+      set_nodelay(fd);
       return conn;
     }
     if (errno == EINTR) continue;
@@ -143,7 +145,13 @@ FdHandle tcp_connect(int port) {
       0) {
     fail_errno("connect 127.0.0.1:" + std::to_string(port));
   }
+  set_nodelay(fd.get());
   return fd;
+}
+
+void set_nodelay(int fd) {
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
 void write_line(const FdHandle& fd, const std::string& line,

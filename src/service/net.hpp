@@ -1,14 +1,15 @@
-// Tiny POSIX TCP helpers for the service tools: ffp_serve listens, the
-// client connects, both speak newline-delimited lines over a buffered
-// reader. Loopback-oriented (the daemon binds 127.0.0.1 only — putting a
-// partitioner on a public interface is a deployment's job, behind whatever
-// auth it has); every failure is an ffp::Error with errno text, never a
-// silent -1.
+// Tiny POSIX TCP helpers for the service tools: ffp_serve listens (its
+// event loop does its own non-blocking I/O over these fds), ffp_router
+// accepts and relays, clients connect, and the blocking callers speak
+// newline-delimited lines over a buffered reader. Loopback-oriented (the
+// daemon binds 127.0.0.1 only — putting a partitioner on a public
+// interface is a deployment's job, behind whatever auth it has); every
+// failure is an ffp::Error with errno text, never a silent -1.
 //
 // Failure hardening (the deadline layer): reads and writes can carry
 // poll()-based timeouts so one slow or dead peer can never wedge a thread
-// — LineReader::set_timeout_ms bounds each next() call (ffp_serve uses it
-// as the idle-connection reaper), write_line takes a per-call deadline
+// — LineReader::set_timeout_ms bounds each next() call (ffp_router uses
+// it as the idle-connection reaper), write_line takes a per-call deadline
 // spanning all its partial writes. Deadline expiry throws
 // ServiceError(Timeout); a reset/torn connection throws
 // ServiceError(ConnLost) — both retryable codes, so callers can
@@ -20,7 +21,7 @@
 
 #include <string>
 
-#include "service/errors.hpp"
+#include "runtime/errors.hpp"
 #include "util/check.hpp"
 
 namespace ffp {
@@ -48,13 +49,20 @@ class FdHandle {
 /// receives the actual port.
 FdHandle tcp_listen(int port, int* bound_port);
 
-/// Accepts one connection; blocks. Under FFP_FAULT accept_fail, an
-/// accepted connection may be destroyed on arrival (throws ConnLost) —
-/// accept loops must treat accept errors as transient and keep serving.
+/// Accepts one connection (TCP_NODELAY set); blocks. Under FFP_FAULT
+/// accept_fail, an accepted connection may be destroyed on arrival
+/// (throws ConnLost) — accept loops must treat accept errors as transient
+/// and keep serving.
 FdHandle tcp_accept(const FdHandle& listener);
 
-/// Connects to 127.0.0.1:port.
+/// Connects to 127.0.0.1:port (TCP_NODELAY set).
 FdHandle tcp_connect(int port);
+
+/// Turns Nagle off on a connected socket. Every socket that carries
+/// protocol lines gets it: a line is one small write, and Nagle holding it
+/// back behind a peer's delayed ACK costs up to 40 ms per response.
+/// Best-effort (never throws): a socket that refuses it still works.
+void set_nodelay(int fd);
 
 /// Writes `line` plus '\n', handling partial writes. `timeout_ms` bounds
 /// the WHOLE write (all partial sends against one deadline); <= 0 means
@@ -68,7 +76,7 @@ void write_line(const FdHandle& fd, const std::string& line,
 /// collects every response.
 void shutdown_write(const FdHandle& fd);
 
-/// Full-closes both directions without releasing the fd — how the server's
+/// Full-closes both directions without releasing the fd — how the router's
 /// shutdown path unblocks connection threads parked in a read. Best-effort
 /// (never throws): racing an already-closed peer is the expected case.
 void shutdown_both(const FdHandle& fd);

@@ -50,7 +50,7 @@
 #include "api/solve_spec.hpp"
 #include "evolve/elite_archive.hpp"
 #include "graph/io.hpp"
-#include "service/job_scheduler.hpp"
+#include "runtime/job_scheduler.hpp"
 #include "service/json.hpp"
 
 namespace ffp {
@@ -106,13 +106,13 @@ struct Request {
 Request parse_request(std::string_view line, const ProtocolLimits& limits = {});
 
 /// Serving-layer counters surfaced in status replies so the new scale-out
-/// path is observable: connection gauges (both server modes), event-loop
-/// wakeups, overload sheds, and elite migrations in either direction.
+/// path is observable: connection gauges, event-loop wakeups, overload
+/// sheds, and elite migrations in either direction.
 /// Collected by ServiceHost::serve_stats(); formatted when non-null.
 struct ServeCounters {
   std::int64_t connections_open = 0;
   std::int64_t connections_total = 0;
-  std::int64_t loop_wakeups = 0;  ///< epoll_wait returns (0 in thread mode)
+  std::int64_t loop_wakeups = 0;  ///< epoll_wait returns (0 over stdio)
   std::int64_t sheds = 0;         ///< connections refused at max_clients
   std::int64_t migrations_sent = 0;
   std::int64_t migrations_received = 0;
@@ -121,7 +121,7 @@ struct ServeCounters {
 // ---- response formatting (one line each, no trailing newline) ----------
 
 std::string format_ack(std::string_view id);
-/// `error` event carrying the taxonomy (service/errors.hpp): `code` names
+/// `error` event carrying the taxonomy (runtime/errors.hpp): `code` names
 /// the error class, `retryable` tells the client whether the identical
 /// resubmission can succeed (it is idempotent either way — results are
 /// cache-keyed on the spec), and `retry_after_ms` appears only when the

@@ -1,12 +1,10 @@
 #include "service/service.hpp"
 
-#include <cstdio>
 #include <iterator>
 #include <utility>
 #include <vector>
 
 #include "util/strings.hpp"
-#include "util/timer.hpp"
 
 namespace ffp {
 
@@ -78,38 +76,19 @@ ServiceSession::ServiceSession(ServiceHost& host, Emit emit,
 
 ServiceSession::~ServiceSession() {
   // Abnormal teardown (connection dropped): stop burning runners on jobs
-  // nobody will read, then wait — bounded by the policy deadline — so a
-  // job that ignores its cancel flag cannot hold the transport thread
-  // hostage forever.
+  // nobody will read. A sync-result session (stdio) then waits for them;
+  // an async one (the event loop) must never block its thread and leaves
+  // the cancelled stragglers to the scheduler's drain.
   std::vector<api::SolveHandle> handles;
   {
     std::lock_guard lock(mu_);
     for (auto& [id, handle] : handles_) handles.push_back(handle);
   }
   for (const auto& handle : handles) handle.cancel();
-
-  std::size_t abandoned = 0;
-  const WallTimer timer;
-  for (const auto& handle : handles) {
-    if (policy_.teardown_wait_ms < 0) continue;  // no-wait transports
-    if (policy_.teardown_wait_ms == 0) {
-      handle.wait();
-      continue;
-    }
-    const double remaining =
-        policy_.teardown_wait_ms - timer.elapsed_millis();
-    if (remaining <= 0 || !handle.wait_for(remaining).has_value()) {
-      ++abandoned;
-    }
+  if (!policy_.async_results) {
+    for (const auto& handle : handles) handle.wait();
   }
-  if (abandoned > 0) {
-    std::fprintf(stderr,
-                 "ffp service: abandoning %zu unfinished job(s) after "
-                 "%.0f ms teardown wait (cancelled; the scheduler will "
-                 "finish them)\n",
-                 abandoned, policy_.teardown_wait_ms);
-  }
-  // Closures owned by abandoned jobs outlive us; kill their sink access
+  // Closures owned by still-running jobs outlive us; kill their sink access
   // before the transport underneath it goes away.
   std::lock_guard lock(emit_->mu);
   emit_->alive = false;
@@ -170,10 +149,11 @@ bool ServiceSession::handle_line(std::string_view line) {
           // result op delivers it synchronously via poll().
           done = [waits = waits_, state = emit_,
                   client = request.id](const JobStatus& status) {
-            {
-              std::lock_guard lock(waits->mu);
-              if (waits->wanted.erase(client) == 0) return;
-            }
+            // The claim is dropped and the reply emitted under one lock,
+            // so a transport polling pending_work() or result_pending()
+            // never sees the claim gone before the reply is queued.
+            std::lock_guard lock(waits->mu);
+            if (waits->wanted.erase(client) == 0) return;
             try {
               emit_to(state, format_terminal(client, status));
             } catch (const std::exception&) {
@@ -303,6 +283,12 @@ void ServiceSession::drain() {
     for (auto& [id, handle] : handles_) handles.push_back(handle);
   }
   for (const auto& handle : handles) handle.wait();
+}
+
+bool ServiceSession::result_pending() {
+  if (waits_ == nullptr) return false;
+  std::lock_guard lock(waits_->mu);
+  return !waits_->wanted.empty();
 }
 
 std::size_t ServiceSession::pending_work() {

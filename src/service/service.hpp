@@ -22,15 +22,14 @@
 // sessions (weak cache), which is what makes a burst of jobs on one mesh
 // cheap.
 //
-// Lifetime: a session destroyed with jobs still pending cancels them and
-// waits — but only up to SessionPolicy::teardown_wait_ms. A job that
-// ignores its cancel flag past that deadline is abandoned (logged to
-// stderr) rather than holding the transport thread hostage; the emit state
-// is a shared guard the streaming closures hold, so an abandoned job's
-// progress events drop silently instead of calling into a dead session. A
-// clean EOF calls drain() first, which lets jobs finish — so piped batch
-// runs still get their results while a vanished TCP client stops burning
-// runners.
+// Lifetime: a session destroyed with jobs still pending cancels them. A
+// sync-result session (stdio) then waits for them; an async-result one
+// (the event loop, whose one thread must never block) leaves them to the
+// scheduler. The emit state is a shared guard the streaming closures hold,
+// so a cancelled job's late progress events drop silently instead of
+// calling into a dead session. A clean EOF calls drain() first, which lets
+// jobs finish — so piped batch runs still get their results while a
+// vanished TCP client stops burning runners.
 #pragma once
 
 #include <atomic>
@@ -48,10 +47,9 @@
 namespace ffp {
 
 /// Process-wide serving counters (protocol.hpp ServeCounters is the wire
-/// rendering): maintained by whichever transports are running — the
-/// thread-per-connection TcpServer, the epoll EventLoopServer, and the
-/// EliteMigrator all update the one instance their ServiceHost owns, so a
-/// status probe on any connection sees the whole server.
+/// rendering): the epoll EventLoopServer and the EliteMigrator update the
+/// one instance their ServiceHost owns, so a status probe on any
+/// connection sees the whole server.
 class ServeStats {
  public:
   std::atomic<std::int64_t> connections_open{0};
@@ -139,27 +137,23 @@ class ServiceHost {
 };
 
 /// Per-connection policy knobs — what THIS transport may do, as opposed to
-/// ServiceOptions (what the host allows anyone). ffp_serve grants
-/// shutdown to its stdio pipe (the operator's own terminal) but gates it
-/// on --allow-remote-shutdown for TCP peers.
+/// ServiceOptions (what the host allows anyone). ffp_serve's two
+/// transports use the two shapes: its stdio pipe (the operator's own
+/// terminal) may shut down and gets sync results; its TCP event loop
+/// gates shutdown on --allow-remote-shutdown and gets async results.
 struct SessionPolicy {
   /// Whether {"op":"shutdown"} is honored. When false the request gets a
   /// structured Forbidden error and the connection stays up.
   bool allow_shutdown = true;
-  /// Teardown deadline: how long the destructor waits (total, across all
-  /// of the session's jobs) after cancelling them before abandoning the
-  /// stragglers. 0 waits forever (trusted in-process sessions); < 0 does
-  /// not wait at all — cancel and abandon immediately, for transports
-  /// that must never block (the event loop tears sessions down on its one
-  /// thread; the server's drain bounds the stragglers instead).
-  double teardown_wait_ms = 5000;
   /// Async result delivery: `result` replies are emitted by the engine's
   /// terminal callback instead of a blocking wait() in handle_line — the
   /// event-loop transport multiplexes thousands of connections on one
   /// thread and can afford neither the block nor a thread per waiter.
   /// The wait() path and the callback render byte-identical lines
   /// (format_terminal); which side emits is settled by a claim set, so
-  /// every result op gets exactly one reply either way.
+  /// every result op gets exactly one reply either way. Also sets the
+  /// teardown shape: a sync session's destructor waits for its cancelled
+  /// jobs, an async one does not.
   bool async_results = false;
 };
 
@@ -168,10 +162,10 @@ class ServiceSession {
   using Emit = std::function<void(const std::string& line)>;
 
   ServiceSession(ServiceHost& host, Emit emit, SessionPolicy policy = {});
-  /// Cancels this session's unfinished jobs and waits up to
-  /// policy.teardown_wait_ms for them — call drain() first for
-  /// let-them-finish semantics. Jobs still running at the deadline are
-  /// abandoned (their streaming events drop; the scheduler finishes them).
+  /// Cancels this session's unfinished jobs — call drain() first for
+  /// let-them-finish semantics. Waits for them unless
+  /// policy.async_results (then their streaming events drop and the
+  /// scheduler finishes them).
   ~ServiceSession();
 
   ServiceSession(const ServiceSession&) = delete;
@@ -191,13 +185,19 @@ class ServiceSession {
   /// nothing left to say and can be reaped.
   std::size_t pending_work();
 
+  /// True while an async result op is still waiting on its job: the event
+  /// loop holds the connection's later requests until it is answered, so
+  /// replies leave in request order. Always false for sync sessions.
+  bool result_pending();
+
   ServiceHost& host() { return host_; }
 
  private:
   /// The emit half of the session, shared with every streaming closure it
   /// spawned: the mutex serializes command responses with progress events,
-  /// and `alive` is flipped off at teardown so a closure owned by an
-  /// abandoned job drops its events instead of calling a dead sink.
+  /// and `alive` is flipped off at teardown so a closure owned by a job
+  /// that outlives the session drops its events instead of calling a dead
+  /// sink.
   struct EmitState {
     std::mutex mu;
     Emit sink;

@@ -40,8 +40,11 @@ std::uint64_t path_digest(const std::string& path) {
 
 }  // namespace
 
-/// Slot gate + fd registry, the TcpServer pattern: shedding happens at
-/// the acceptor, the stop path kicks blocked readers loose.
+/// Slot gate + fd registry for the router's client side: shedding happens
+/// at the acceptor, the stop path kicks blocked readers loose. ffp_router
+/// keeps its own thread-per-client loop for now (ffp_serve's TCP side is
+/// the epoll EventLoopServer); moving the router's client side onto that
+/// loop, relays as non-blocking state machines, is a follow-up.
 class Router::ConnectionSet {
  public:
   explicit ConnectionSet(unsigned max_clients) : max_clients_(max_clients) {}

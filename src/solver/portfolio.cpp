@@ -4,7 +4,7 @@
 #include <optional>
 #include <thread>
 
-#include "service/thread_budget.hpp"
+#include "runtime/thread_budget.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 

@@ -29,7 +29,7 @@ namespace ffp {
 struct PortfolioOptions {
   int restarts = 1;
   unsigned threads = 0;  ///< 0 → hardware concurrency
-  /// Process-wide governor (service/thread_budget.hpp). When set, the
+  /// Process-wide governor (runtime/thread_budget.hpp). When set, the
   /// restart workers are *leased*: the runner takes min(threads, restarts)
   /// − 1 extra workers beyond its calling thread, or fewer when the budget
   /// is contended, and each restart's solver leases its own intra-run

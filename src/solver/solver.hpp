@@ -38,7 +38,7 @@
 
 namespace ffp {
 
-class ThreadBudget;  // service/thread_budget.hpp
+class ThreadBudget;  // runtime/thread_budget.hpp
 
 /// Everything a solver needs for one run. The stop condition is re-armed
 /// (copied and restarted) by each solver at the top of run(), so a request
@@ -55,7 +55,7 @@ struct SolverRequest {
   /// which parallelize across restarts — the two levels never share a
   /// pool (see solver/worker_pool.hpp).
   unsigned threads = 0;
-  /// Process-wide worker governor (service/thread_budget.hpp). When set,
+  /// Process-wide worker governor (runtime/thread_budget.hpp). When set,
   /// `threads` becomes a *want*: the solver leases min(threads−1, free)
   /// extra workers beyond its own calling thread and degrades gracefully
   /// to fewer lanes — never changing the result, only where phase work

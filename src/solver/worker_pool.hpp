@@ -17,7 +17,7 @@
 
 #include <memory>
 
-#include "service/thread_budget.hpp"
+#include "runtime/thread_budget.hpp"
 #include "util/parallel.hpp"
 
 namespace ffp {

@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "graph/generators.hpp"
-#include "service/thread_budget.hpp"
+#include "runtime/thread_budget.hpp"
 #include "solver/portfolio.hpp"
 #include "solver/registry.hpp"
 

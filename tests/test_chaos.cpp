@@ -1,5 +1,5 @@
-// Chaos suite: the whole serving stack — TcpServer + ServiceHost on one
-// side, ServiceClient's retry loop on the other, over real loopback
+// Chaos suite: the whole serving stack — EventLoopServer + ServiceHost on
+// one side, ServiceClient's retry loop on the other, over real loopback
 // sockets — driven under every injected fault class (util/fault.hpp).
 //
 // The contract being proven, per fault class:
@@ -11,8 +11,8 @@
 //     deterministic specs are result-cache keys, so a replayed job is a
 //     lookup, not a second solve.
 //
-// Plus the shedding/drain behaviors that need a real accept loop:
-// immediate structured rejection beyond max_clients, forbidden remote
+// Plus the connection policies that need a real accept loop: immediate
+// structured rejection beyond max_clients, idle reaping, forbidden remote
 // shutdown, and bounded graceful drain with a job in flight.
 #include <gtest/gtest.h>
 
@@ -21,10 +21,10 @@
 #include <thread>
 #include <vector>
 
+#include "net/event_loop.hpp"
 #include "service/client.hpp"
 #include "service/json.hpp"
 #include "service/net.hpp"
-#include "service/server.hpp"
 #include "service/service.hpp"
 #include "util/fault.hpp"
 
@@ -36,11 +36,11 @@ struct FaultGuard {
   ~FaultGuard() { fault::configure(""); }
 };
 
-/// Host + TcpServer on an ephemeral port, run() pumping in a background
-/// thread. The destructor drains.
+/// Host + EventLoopServer on an ephemeral port, run() pumping in a
+/// background thread. The destructor drains.
 struct ChaosServer {
   explicit ChaosServer(ServiceOptions sopt = service_defaults(),
-                       TcpServerOptions topt = server_defaults())
+                       EventLoopOptions topt = server_defaults())
       : host(std::move(sopt)),
         server(host, std::move(topt)),
         pump([this] { server.run(); }) {}
@@ -55,8 +55,8 @@ struct ChaosServer {
     options.runners = 2;
     return options;
   }
-  static TcpServerOptions server_defaults() {
-    TcpServerOptions options;
+  static EventLoopOptions server_defaults() {
+    EventLoopOptions options;
     options.port = 0;
     options.idle_timeout_ms = 10000;
     options.write_timeout_ms = 10000;
@@ -66,7 +66,7 @@ struct ChaosServer {
   int port() const { return server.port(); }
 
   ServiceHost host;
-  TcpServer server;
+  EventLoopServer server;
   std::thread pump;
 };
 
@@ -204,7 +204,7 @@ TEST(Chaos, SurvivesMixedFaults) {
 }
 
 TEST(Chaos, OverloadShedsImmediatelyWithStructuredError) {
-  TcpServerOptions topt = ChaosServer::server_defaults();
+  EventLoopOptions topt = ChaosServer::server_defaults();
   topt.max_clients = 1;
   topt.overload_retry_after_ms = 123;
   ChaosServer server(ChaosServer::service_defaults(), topt);
@@ -238,6 +238,7 @@ TEST(Chaos, OverloadShedsImmediatelyWithStructuredError) {
   EXPECT_EQ(event.find("retry_after_ms")->as_number(), 123.0) << line;
   EXPECT_FALSE(reader.next(line));  // ... and then closed.
   extra.reset();
+  EXPECT_GE(server.host.serve_stats().snapshot().sheds, 1);  // and counted
 
   // And once the holder leaves, a retrying client gets real service.
   holder.reset();
@@ -247,7 +248,7 @@ TEST(Chaos, OverloadShedsImmediatelyWithStructuredError) {
 }
 
 TEST(Chaos, IdleConnectionsAreReapedWithAStructuredGoodbye) {
-  TcpServerOptions topt = ChaosServer::server_defaults();
+  EventLoopOptions topt = ChaosServer::server_defaults();
   topt.idle_timeout_ms = 200;  // a silent client loses its slot fast
   ChaosServer server(ChaosServer::service_defaults(), topt);
 
@@ -273,8 +274,32 @@ TEST(Chaos, IdleConnectionsAreReapedWithAStructuredGoodbye) {
   EXPECT_EQ(JsonValue::parse(line).find("event")->as_string(), "ack") << line;
 }
 
+TEST(Chaos, IdleReaperSparesAConnectionAwaitingItsResult) {
+  EventLoopOptions topt = ChaosServer::server_defaults();
+  topt.idle_timeout_ms = 200;
+  ChaosServer server(ChaosServer::service_defaults(), topt);
+
+  FdHandle conn = tcp_connect(server.port());
+  LineReader reader(conn);
+  reader.set_timeout_ms(10000);
+  // The job outlives the idle deadline several times over; the client is
+  // not idle while it waits for the result it asked for.
+  write_line(conn,
+             R"({"op":"submit","id":"slow","graph":{"n":8,"edges":)"
+             R"([[0,1],[1,2],[2,3],[3,4],[4,5],[5,6],[6,7],[7,0]]},)"
+             R"("k":2,"budget_ms":800})");
+  std::string line;
+  ASSERT_TRUE(reader.next(line));
+  ASSERT_EQ(JsonValue::parse(line).find("event")->as_string(), "ack") << line;
+  write_line(conn, R"({"op":"result","id":"slow"})");
+  ASSERT_TRUE(reader.next(line));
+  const JsonValue event = JsonValue::parse(line);
+  EXPECT_EQ(event.find("event")->as_string(), "result") << line;
+  EXPECT_EQ(event.find("state")->as_string(), "done") << line;
+}
+
 TEST(Chaos, RemoteShutdownForbiddenByDefaultPolicy) {
-  TcpServerOptions topt = ChaosServer::server_defaults();
+  EventLoopOptions topt = ChaosServer::server_defaults();
   topt.session.allow_shutdown = false;  // what ffp_serve defaults to on TCP
   ChaosServer server(ChaosServer::service_defaults(), topt);
 
@@ -310,8 +335,8 @@ TEST(Chaos, GracefulDrainWithAJobInFlight) {
   ASSERT_EQ(JsonValue::parse(line).find("event")->as_string(), "ack") << line;
 
   // SIGTERM path: the drain must cancel the running job (anytime
-  // semantics) and return well within the teardown deadline — the ctest
-  // timeout is the real assertion here.
+  // semantics) and return promptly — the ctest timeout is the real
+  // assertion here.
   server.server.request_stop();
   server.pump.join();
   // Idempotent: the ChaosServer destructor stops again harmlessly.

@@ -1,16 +1,22 @@
-// EventLoopServer suite: the epoll transport must be a drop-in for the
-// thread-per-connection TcpServer — same wire protocol, same policies,
-// byte-identical results — while holding its headline promise: thousands
-// of concurrent connections on a BOUNDED thread count (the loop thread
-// plus the engine's runners, nothing per client).
+// EventLoopServer suite: the epoll transport must add nothing to the
+// results — byte-identical to a transport-free ServiceSession — while
+// holding its headline promise: thousands of concurrent connections on a
+// BOUNDED thread count (the loop thread plus the engine's runners,
+// nothing per client). The connection policies (shedding, idle reaping,
+// remote-shutdown gating, drain) and every fault class are exercised
+// against this transport by test_chaos.
 //
-// The determinism assertions all compare against a thread-server
-// reference computed in-process: identical jobs at identical seeds must
-// produce identical partitions through either transport, faults or not.
+// The determinism assertions compare against a reference computed
+// in-process with no transport at all (ffp_serve's stdio path: a sync
+// session fed line by line): identical jobs at identical seeds must
+// produce identical partitions over the wire.
 #include "net/event_loop.hpp"
 
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/resource.h>
+#include <sys/socket.h>
 
 #include <fstream>
 #include <map>
@@ -22,16 +28,10 @@
 #include "service/client.hpp"
 #include "service/json.hpp"
 #include "service/net.hpp"
-#include "service/server.hpp"
 #include "service/service.hpp"
-#include "util/fault.hpp"
 
 namespace ffp {
 namespace {
-
-struct FaultGuard {
-  ~FaultGuard() { fault::configure(""); }
-};
 
 /// Host + EventLoopServer on an ephemeral port, pumping in a background
 /// thread (the "loop thread" — the only thread the transport adds).
@@ -124,42 +124,43 @@ ServiceClientOptions client_options(int port) {
   return options;
 }
 
-std::map<std::string, std::pair<std::vector<int>, double>> outcomes(
-    const std::vector<ClientResult>& results) {
-  std::map<std::string, std::pair<std::vector<int>, double>> out;
+using Outcomes = std::map<std::string, std::pair<std::vector<int>, double>>;
+
+/// (partition, value) out of one `result` event line.
+std::pair<std::vector<int>, double> parse_outcome(const std::string& line) {
+  const JsonValue event = JsonValue::parse(line);
+  std::vector<int> parts;
+  for (const auto& p : event.find("partition")->as_array()) {
+    parts.push_back(static_cast<int>(p.as_int()));
+  }
+  return {std::move(parts), event.find("value")->as_number()};
+}
+
+Outcomes outcomes(const std::vector<ClientResult>& results) {
+  Outcomes out;
   for (const ClientResult& r : results) {
     EXPECT_TRUE(r.ok) << r.id << " failed [" << err_name(r.code)
                       << "]: " << r.error;
-    if (!r.ok) continue;
-    const JsonValue event = JsonValue::parse(r.result_line);
-    std::vector<int> parts;
-    for (const auto& p : event.find("partition")->as_array()) {
-      parts.push_back(static_cast<int>(p.as_int()));
-    }
-    out[r.id] = {std::move(parts), event.find("value")->as_number()};
+    if (r.ok) out[r.id] = parse_outcome(r.result_line);
   }
   return out;
 }
 
-/// The thread-per-connection reference for the mixed batch — what the
-/// event loop must reproduce byte for byte.
-const std::map<std::string, std::pair<std::vector<int>, double>>&
-thread_server_reference() {
-  static const auto reference = [] {
-    FaultGuard guard;
-    fault::configure("");
-    ServiceOptions sopt;
-    sopt.runners = 2;
-    ServiceHost host(std::move(sopt));
-    TcpServerOptions topt;
-    topt.port = 0;
-    TcpServer server(host, std::move(topt));
-    std::thread pump([&server] { server.run(); });
-    ServiceClient client(client_options(server.port()));
-    auto out = outcomes(client.run(mixed_jobs()));
-    EXPECT_EQ(out.size(), mixed_jobs().size());
-    server.request_stop();
-    pump.join();
+/// The transport-free reference for the mixed batch — ffp_serve's stdio
+/// path, a sync session fed line by line — which the event loop must
+/// reproduce byte for byte.
+const Outcomes& session_reference() {
+  static const Outcomes reference = [] {
+    ServiceHost host(LoopServer::service_defaults());
+    std::string last;
+    ServiceSession session(host,
+                           [&last](const std::string& line) { last = line; });
+    Outcomes out;
+    for (const ClientJob& job : mixed_jobs()) {
+      session.handle_line(job.submit_line);
+      session.handle_line(R"({"op":"result","id":")" + job.id + R"("})");
+      out[job.id] = parse_outcome(last);
+    }
     return out;
   }();
   return reference;
@@ -176,11 +177,107 @@ int thread_count() {
   return -1;
 }
 
-TEST(EventLoop, MixedBatchMatchesThreadServerByteForByte) {
-  const auto& reference = thread_server_reference();
+TEST(EventLoop, MixedBatchMatchesTransportFreeSessionByteForByte) {
+  const Outcomes& reference = session_reference();
+  ASSERT_EQ(reference.size(), mixed_jobs().size());
   LoopServer server;
   ServiceClient client(client_options(server.port()));
   EXPECT_EQ(outcomes(client.run(mixed_jobs())), reference);
+}
+
+/// Local port of a bound socket (0 when `fd` is not an IPv4 socket).
+int local_port(int fd) {
+  sockaddr_in addr{};
+  socklen_t len = sizeof(addr);
+  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0 ||
+      addr.sin_family != AF_INET) {
+    return 0;
+  }
+  return ntohs(addr.sin_port);
+}
+
+// The server side of a connection lives inside the loop; the server runs
+// in this process, so find its fd by address and read the option back.
+TEST(EventLoop, AcceptedConnectionsDisableNagle) {
+  LoopServer server;
+  FdHandle conn = tcp_connect(server.port());
+  LineReader reader(conn);
+  reader.set_timeout_ms(5000);
+  write_line(conn, R"({"op":"status","id":"probe"})");
+  std::string line;
+  ASSERT_TRUE(reader.next(line));  // the loop has accepted it by now
+
+  const int client_port = local_port(conn.get());
+  int accepted = -1;
+  for (int fd = 3; fd < 4096 && accepted < 0; ++fd) {
+    sockaddr_in peer{};
+    socklen_t len = sizeof(peer);
+    if (fd != conn.get() && local_port(fd) == server.port() &&
+        ::getpeername(fd, reinterpret_cast<sockaddr*>(&peer), &len) == 0 &&
+        ntohs(peer.sin_port) == client_port) {
+      accepted = fd;
+    }
+  }
+  ASSERT_GE(accepted, 0) << "no accepted socket found for the connection";
+  int value = -1;
+  socklen_t len = sizeof(value);
+  ASSERT_EQ(::getsockopt(accepted, IPPROTO_TCP, TCP_NODELAY, &value, &len), 0);
+  EXPECT_NE(value, 0) << "the event loop's accept path left Nagle on";
+}
+
+/// A job that runs for `ms` of wall clock on a small inline ring.
+std::string timed_submit(const std::string& id, int ms) {
+  return R"({"op":"submit","id":")" + id +
+         R"(","graph":{"n":8,"edges":[[0,1],[1,2],[2,3],[3,4],[4,5],)"
+         R"([5,6],[6,7],[7,0]]},"k":2,"budget_ms":)" +
+         std::to_string(ms) + "}";
+}
+
+std::string event_of(const std::string& line) {
+  return JsonValue::parse(line).find("event")->as_string();
+}
+
+// A connection's replies come back in request order: a result op whose
+// job is still running holds back the requests pipelined behind it (the
+// loop thread itself never blocks).
+TEST(EventLoop, RepliesInRequestOrderWhileAResultWaits) {
+  LoopServer server;
+  FdHandle conn = tcp_connect(server.port());
+  write_line(conn, timed_submit("slow", 300) + "\n" +
+                       R"({"op":"result","id":"slow"})" + "\n" +
+                       R"({"op":"status","id":"slow"})");
+  LineReader reader(conn);
+  reader.set_timeout_ms(10000);
+  std::string line;
+  ASSERT_TRUE(reader.next(line));
+  EXPECT_EQ(event_of(line), "ack") << line;
+  ASSERT_TRUE(reader.next(line));
+  EXPECT_EQ(event_of(line), "result") << line;
+  ASSERT_TRUE(reader.next(line));
+  EXPECT_EQ(event_of(line), "status") << line;
+  EXPECT_EQ(JsonValue::parse(line).find("state")->as_string(), "done");
+}
+
+// A client that half-closes after its last request still gets every
+// reply, and the loop sleeps while the job runs instead of spinning on
+// the connection's end-of-file.
+TEST(EventLoop, HalfClosedConnectionDoesNotSpinTheLoop) {
+  LoopServer server;
+  FdHandle conn = tcp_connect(server.port());
+  write_line(conn, timed_submit("slow", 300));
+  write_line(conn, R"({"op":"result","id":"slow"})");
+  shutdown_write(conn);
+  LineReader reader(conn);
+  reader.set_timeout_ms(10000);
+  std::string line;
+  ASSERT_TRUE(reader.next(line));
+  EXPECT_EQ(event_of(line), "ack") << line;
+  ASSERT_TRUE(reader.next(line));
+  EXPECT_EQ(event_of(line), "result") << line;
+  EXPECT_FALSE(reader.next(line));  // reaped once everything is out
+  // A few events plus one 100 ms deadline tick per idle period; a loop
+  // spinning on the end-of-file wakes up many thousands of times.
+  EXPECT_LT(server.host.serve_stats().snapshot().loop_wakeups, 100);
 }
 
 // The headline: >= 1024 concurrent connections, every one served, and
@@ -247,7 +344,7 @@ TEST(EventLoop, SustainsAThousandConcurrentConnectionsWithBoundedThreads) {
   const JsonValue result = JsonValue::parse(line);
   ASSERT_EQ(result.find("event")->as_string(), "result") << line;
   EXPECT_EQ(result.find("value")->as_number(),
-            thread_server_reference().at("m0").second);
+            session_reference().at("m0").second);
 
   // The server reports what it is carrying.
   write_line(worker, R"({"op":"status","id":"m0"})", 10000);
@@ -257,148 +354,6 @@ TEST(EventLoop, SustainsAThousandConcurrentConnectionsWithBoundedThreads) {
   EXPECT_GE(status.find("conns_open")->as_int(), kConns);
   EXPECT_GE(status.find("conns_total")->as_int(), kConns + 1);
   EXPECT_GT(status.find("loop_wakeups")->as_int(), 0);
-}
-
-TEST(EventLoop, ShedsBeyondMaxClientsWithStructuredError) {
-  EventLoopOptions lopt = LoopServer::loop_defaults();
-  lopt.max_clients = 1;
-  lopt.overload_retry_after_ms = 123;
-  LoopServer server(LoopServer::service_defaults(), lopt);
-
-  FdHandle holder = tcp_connect(server.port());
-  {
-    LineReader reader(holder);
-    reader.set_timeout_ms(5000);
-    write_line(holder, R"({"op":"status","id":"nope"})");
-    std::string line;
-    ASSERT_TRUE(reader.next(line));
-    ASSERT_EQ(JsonValue::parse(line).find("code")->as_string(), "unknown_job");
-  }
-
-  FdHandle extra = tcp_connect(server.port());
-  LineReader reader(extra);
-  reader.set_timeout_ms(5000);
-  std::string line;
-  ASSERT_TRUE(reader.next(line));
-  const JsonValue event = JsonValue::parse(line);
-  ASSERT_EQ(event.find("event")->as_string(), "error") << line;
-  EXPECT_EQ(event.find("code")->as_string(), "overloaded") << line;
-  EXPECT_TRUE(event.find("retryable")->as_bool()) << line;
-  EXPECT_EQ(event.find("retry_after_ms")->as_number(), 123.0) << line;
-  EXPECT_FALSE(reader.next(line));
-  extra.reset();
-
-  // The shed is counted.
-  LineReader holder_reader(holder);
-  holder_reader.set_timeout_ms(5000);
-  write_line(holder, R"({"op":"status","id":"nope"})");
-  ASSERT_TRUE(holder_reader.next(line));
-  // (unknown_job error still carries no counters; use the host directly)
-  EXPECT_GE(server.host.serve_stats().snapshot().sheds, 1);
-}
-
-TEST(EventLoop, ReapsIdleConnectionsWithAStructuredGoodbye) {
-  EventLoopOptions lopt = LoopServer::loop_defaults();
-  lopt.idle_timeout_ms = 200;
-  LoopServer server(LoopServer::service_defaults(), lopt);
-
-  FdHandle idle = tcp_connect(server.port());
-  LineReader reader(idle);
-  reader.set_timeout_ms(5000);
-  std::string line;
-  ASSERT_TRUE(reader.next(line));
-  const JsonValue event = JsonValue::parse(line);
-  EXPECT_EQ(event.find("event")->as_string(), "error") << line;
-  EXPECT_EQ(event.find("code")->as_string(), "timeout") << line;
-  EXPECT_FALSE(reader.next(line));
-
-  // The freed slot serves the next client normally.
-  FdHandle live = tcp_connect(server.port());
-  LineReader live_reader(live);
-  live_reader.set_timeout_ms(5000);
-  write_line(live, mixed_jobs()[0].submit_line);
-  ASSERT_TRUE(live_reader.next(line));
-  EXPECT_EQ(JsonValue::parse(line).find("event")->as_string(), "ack") << line;
-}
-
-TEST(EventLoop, RemoteShutdownForbiddenWhenThePolicyDeniesIt) {
-  // ffp_serve's default stance: remote shutdown stays off unless
-  // --allow-remote-shutdown flips the session policy.
-  EventLoopOptions lopt = LoopServer::loop_defaults();
-  lopt.session.allow_shutdown = false;
-  LoopServer server(LoopServer::service_defaults(), lopt);
-  FdHandle conn = tcp_connect(server.port());
-  LineReader reader(conn);
-  reader.set_timeout_ms(5000);
-  write_line(conn, R"({"op":"shutdown"})");
-  std::string line;
-  ASSERT_TRUE(reader.next(line));
-  const JsonValue event = JsonValue::parse(line);
-  EXPECT_EQ(event.find("event")->as_string(), "error") << line;
-  EXPECT_EQ(event.find("code")->as_string(), "forbidden") << line;
-
-  write_line(conn, mixed_jobs()[0].submit_line);
-  ASSERT_TRUE(reader.next(line));
-  EXPECT_EQ(JsonValue::parse(line).find("event")->as_string(), "ack") << line;
-}
-
-/// One chaos scenario against the EVENT LOOP transport: full success and
-/// byte-identical outcomes vs the thread-server reference.
-void run_loop_chaos(const std::string& spec, bool expect_fires) {
-  const auto& reference = thread_server_reference();
-  FaultGuard guard;
-  LoopServer server;
-  fault::configure(spec);
-  ServiceClient client(client_options(server.port()));
-  const auto chaos = outcomes(client.run(mixed_jobs()));
-  if (expect_fires) {
-    EXPECT_GT(fault::fires(), 0) << "scenario injected nothing: " << spec;
-  }
-  fault::configure("");
-  EXPECT_EQ(chaos, reference) << "results diverged under: " << spec;
-}
-
-TEST(EventLoopChaos, SurvivesConnectionDrops) {
-  run_loop_chaos("conn_drop=1;seed=5;max_fires=3", true);
-}
-
-TEST(EventLoopChaos, SurvivesShortReads) {
-  // Every recv one byte: the loop's incremental framing must reassemble
-  // from maximal fragmentation, exactly like LineReader does.
-  run_loop_chaos("short_read=1;seed=5", true);
-}
-
-TEST(EventLoopChaos, SurvivesTornWrites) {
-  run_loop_chaos("torn_write=1;seed=5;max_fires=2", true);
-}
-
-TEST(EventLoopChaos, SurvivesDelayedResponses) {
-  run_loop_chaos("delay_response=1;delay_ms=30;seed=5;max_fires=4", true);
-}
-
-TEST(EventLoopChaos, SurvivesMixedFaults) {
-  run_loop_chaos(
-      "conn_drop=0.3;short_read=0.3;torn_write=0.2;seed=17;max_fires=6",
-      false /* probabilistic: may fire zero times */);
-}
-
-TEST(EventLoop, GracefulDrainWithAJobInFlight) {
-  LoopServer server;
-  FdHandle conn = tcp_connect(server.port());
-  LineReader reader(conn);
-  reader.set_timeout_ms(5000);
-  write_line(conn,
-             R"({"op":"submit","id":"slow","graph":{"n":8,"edges":)"
-             R"([[0,1],[1,2],[2,3],[3,4],[4,5],[5,6],[6,7],[7,0]]},)"
-             R"("k":2,"budget_ms":60000})");
-  std::string line;
-  ASSERT_TRUE(reader.next(line));
-  ASSERT_EQ(JsonValue::parse(line).find("event")->as_string(), "ack") << line;
-
-  // The drain must cancel the running job and return well within the
-  // ctest timeout — that timeout is the real assertion.
-  server.server.request_stop();
-  server.pump.join();
 }
 
 }  // namespace

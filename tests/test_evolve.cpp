@@ -20,7 +20,7 @@
 #include "graph/generators.hpp"
 #include "partition/objectives.hpp"
 #include "persist/atomic_file.hpp"
-#include "service/thread_budget.hpp"
+#include "runtime/thread_budget.hpp"
 #include "solver/registry.hpp"
 
 namespace ffp {

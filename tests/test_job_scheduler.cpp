@@ -1,4 +1,4 @@
-#include "service/job_scheduler.hpp"
+#include "runtime/job_scheduler.hpp"
 
 #include <gtest/gtest.h>
 

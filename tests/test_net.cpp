@@ -4,6 +4,8 @@
 #include "service/net.hpp"
 
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <pthread.h>
 #include <signal.h>
 #include <sys/socket.h>
@@ -12,7 +14,7 @@
 #include <string>
 #include <thread>
 
-#include "service/errors.hpp"
+#include "runtime/errors.hpp"
 
 namespace ffp {
 namespace {
@@ -45,6 +47,22 @@ TEST(Net, LineRoundTripBothDirections) {
   LineReader client_reader(pair.client);
   ASSERT_TRUE(client_reader.next(line));
   EXPECT_EQ(line, "reply");
+}
+
+int nodelay_of(const FdHandle& fd) {
+  int value = -1;
+  socklen_t len = sizeof(value);
+  EXPECT_EQ(::getsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &value, &len),
+            0);
+  return value;
+}
+
+// Every protocol line is one small write; with Nagle on, a peer that
+// delays its ACKs holds each response back by up to 40 ms.
+TEST(Net, AcceptedAndConnectedSocketsDisableNagle) {
+  SocketPair pair;
+  EXPECT_NE(nodelay_of(pair.server), 0) << "tcp_accept left Nagle on";
+  EXPECT_NE(nodelay_of(pair.client), 0) << "tcp_connect left Nagle on";
 }
 
 TEST(Net, StripsCarriageReturns) {

@@ -26,10 +26,10 @@
 #include <thread>
 #include <vector>
 
+#include "net/event_loop.hpp"
 #include "service/client.hpp"
 #include "service/json.hpp"
 #include "service/net.hpp"
-#include "service/server.hpp"
 #include "service/service.hpp"
 #include "shard/migrate.hpp"
 #include "shard/router.hpp"
@@ -113,8 +113,8 @@ struct Shard {
     o.evolve_capacity = evolve_capacity;
     return o;
   }
-  static TcpServerOptions server_options() {
-    TcpServerOptions o;
+  static EventLoopOptions server_options() {
+    EventLoopOptions o;
     o.port = 0;
     return o;
   }
@@ -122,7 +122,7 @@ struct Shard {
   int port() const { return server.port(); }
 
   ServiceHost host;
-  TcpServer server;
+  EventLoopServer server;
   std::thread pump;
 };
 

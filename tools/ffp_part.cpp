@@ -28,7 +28,7 @@
 #include "graph/io.hpp"
 #include "partition/balance.hpp"
 #include "partition/report.hpp"
-#include "service/thread_budget.hpp"
+#include "runtime/thread_budget.hpp"
 #include "solver/registry.hpp"
 #include "util/args.hpp"
 #include "util/strings.hpp"

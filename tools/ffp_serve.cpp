@@ -6,12 +6,14 @@
 // Speaks the line-delimited JSON protocol (src/service/protocol.hpp):
 // submit / status / cancel / result / shutdown in, ack / status / result /
 // progress / error events out. Without --listen it serves exactly one
-// session over stdin/stdout — the zero-config mode scripts and tests pipe
-// into. With --listen it binds 127.0.0.1:<port> (0 picks an ephemeral
-// port, printed on stderr) and serves up to --max-clients connections
-// CONCURRENTLY, thread-per-connection, every session submitting into one
-// shared ServiceHost — one JobScheduler, one ThreadBudget, one result
-// cache — until SIGTERM/SIGINT or an authorized {"op":"shutdown"}.
+// session over stdin/stdout — the zero-config, transport-free mode scripts
+// and tests pipe into. With --listen it binds 127.0.0.1:<port> (0 picks an
+// ephemeral port, printed on stderr) and serves up to --max-clients
+// connections CONCURRENTLY on one epoll thread (src/net/event_loop.hpp) —
+// a connection costs a file descriptor, not a thread — every session
+// submitting into one shared ServiceHost — one JobScheduler, one
+// ThreadBudget, one result cache — until SIGTERM/SIGINT or an authorized
+// {"op":"shutdown"}. Both modes return byte-identical results.
 //
 // Concurrency model: --runners jobs execute at once across ALL clients,
 // and every solve leases its workers from the process-wide ThreadBudget
@@ -23,7 +25,7 @@
 // --max-vertices/--max-edges, and --no-files restricts submissions to
 // inline graphs.
 //
-// Failure hardening (service/server.hpp has the machinery):
+// Failure hardening (net/event_loop.hpp has the machinery):
 //   * connections beyond --max-clients are told "overloaded" (with a
 //     retry-after hint) and closed immediately — never queued;
 //   * more than --max-queued waiting jobs shed submits the same way;
@@ -36,11 +38,9 @@
 //     was started with --allow-remote-shutdown (pipe mode — the
 //     operator's own terminal — always honors it).
 //
-// Scale-out: --event-loop swaps thread-per-connection for one epoll
-// thread (src/net/event_loop.hpp) so --max-clients can go to the
-// thousands with a bounded thread count; --peers lists sibling shard
-// ports and turns on periodic elite migration (src/shard/migrate.hpp).
-// Both speak the identical wire protocol with identical results.
+// Scale-out: --max-clients can go to the thousands with a bounded thread
+// count; --peers lists sibling shard ports and turns on periodic elite
+// migration (src/shard/migrate.hpp).
 #include <csignal>
 #include <cstdio>
 #include <iostream>
@@ -49,9 +49,8 @@
 #include <vector>
 
 #include "net/event_loop.hpp"
-#include "service/server.hpp"
+#include "runtime/thread_budget.hpp"
 #include "service/service.hpp"
-#include "service/thread_budget.hpp"
 #include "shard/migrate.hpp"
 #include "util/args.hpp"
 #include "util/strings.hpp"
@@ -100,12 +99,11 @@ ffp::ServiceOptions host_options(const ffp::ArgParser& args) {
 
 /// One session over stdin/stdout. Returns when the client shuts down or
 /// the pipe closes. The pipe is the operator's own terminal, so shutdown
-/// stays allowed and teardown waits are unbounded.
+/// stays allowed, and results are sync (teardown waits for every job).
 void serve_stdio(const ffp::ArgParser& args) {
   ffp::ServiceHost host(host_options(args));
   ffp::SessionPolicy policy;
   policy.allow_shutdown = true;
-  policy.teardown_wait_ms = 0;  // trusted caller; wait for everything
   ffp::ServiceSession session(
       host,
       [](const std::string& line) {
@@ -123,19 +121,16 @@ void serve_stdio(const ffp::ArgParser& args) {
   session.drain();
 }
 
-/// The signal path: SIGTERM/SIGINT write one byte down the server's
-/// self-pipe / eventfd (both async-signal-safe) and the serving loop
-/// drains. Exactly one of the two pointers is set at a time.
-ffp::TcpServer* g_server = nullptr;
-ffp::EventLoopServer* g_loop_server = nullptr;
+/// The signal path: SIGTERM/SIGINT signal the server's stop eventfd
+/// (async-signal-safe) and the serving loop drains.
+ffp::EventLoopServer* g_server = nullptr;
 
 extern "C" void on_stop_signal(int) {
   if (g_server != nullptr) g_server->request_stop();
-  if (g_loop_server != nullptr) g_loop_server->request_stop();
 }
 
-/// Inter-shard elite migration rides along either server type: a nullptr
-/// when --peers is empty, a running EliteMigrator otherwise.
+/// Inter-shard elite migration rides along the server: a nullptr when
+/// --peers is empty, a running EliteMigrator otherwise.
 std::unique_ptr<ffp::shard::EliteMigrator> make_migrator(
     const ffp::ArgParser& args, ffp::ServiceHost& host) {
   const std::vector<int> peers = parse_ports(args.get("peers"));
@@ -170,47 +165,25 @@ int serve_tcp(const ffp::ArgParser& args, int port) {
 
   std::signal(SIGPIPE, SIG_IGN);  // torn peers surface as EPIPE, not death
 
-  if (args.get_bool("event-loop")) {
-    ffp::EventLoopOptions options;
-    options.port = port;
-    options.max_clients = static_cast<unsigned>(max_clients);
-    options.idle_timeout_ms = static_cast<double>(idle_ms);
-    options.write_timeout_ms = static_cast<double>(write_ms);
-    options.session.allow_shutdown = args.get_bool("allow-remote-shutdown");
-    ffp::EventLoopServer server(host, options);
+  ffp::EventLoopOptions options;
+  options.port = port;
+  options.max_clients = static_cast<unsigned>(max_clients);
+  options.idle_timeout_ms = static_cast<double>(idle_ms);
+  options.write_timeout_ms = static_cast<double>(write_ms);
+  options.session.allow_shutdown = args.get_bool("allow-remote-shutdown");
+  ffp::EventLoopServer server(host, options);
 
-    g_loop_server = &server;
-    std::signal(SIGTERM, on_stop_signal);
-    std::signal(SIGINT, on_stop_signal);
-    std::fprintf(stderr,
-                 "ffp_serve: listening on 127.0.0.1:%d (event loop, up to "
-                 "%lld concurrent clients%s)\n",
-                 server.port(), static_cast<long long>(max_clients),
-                 options.session.allow_shutdown ? ", remote shutdown allowed"
-                                                : "");
-    server.run();
-    g_loop_server = nullptr;
-  } else {
-    ffp::TcpServerOptions options;
-    options.port = port;
-    options.max_clients = static_cast<unsigned>(max_clients);
-    options.idle_timeout_ms = static_cast<double>(idle_ms);
-    options.write_timeout_ms = static_cast<double>(write_ms);
-    options.session.allow_shutdown = args.get_bool("allow-remote-shutdown");
-    ffp::TcpServer server(host, options);
-
-    g_server = &server;
-    std::signal(SIGTERM, on_stop_signal);
-    std::signal(SIGINT, on_stop_signal);
-    std::fprintf(stderr,
-                 "ffp_serve: listening on 127.0.0.1:%d (up to %lld "
-                 "concurrent clients%s)\n",
-                 server.port(), static_cast<long long>(max_clients),
-                 options.session.allow_shutdown ? ", remote shutdown allowed"
-                                                : "");
-    server.run();
-    g_server = nullptr;
-  }
+  g_server = &server;
+  std::signal(SIGTERM, on_stop_signal);
+  std::signal(SIGINT, on_stop_signal);
+  std::fprintf(stderr,
+               "ffp_serve: listening on 127.0.0.1:%d (up to %lld "
+               "concurrent clients%s)\n",
+               server.port(), static_cast<long long>(max_clients),
+               options.session.allow_shutdown ? ", remote shutdown allowed"
+                                              : "");
+  server.run();
+  g_server = nullptr;
   std::fprintf(stderr, "ffp_serve: drained, exiting\n");
   return 0;
 }
@@ -246,9 +219,6 @@ int main(int argc, char** argv) {
       .flag("peers", "", "comma-separated peer shard ports; best elites "
                          "migrate to them every --migrate-every-ms")
       .flag("migrate-every-ms", "1000", "elite-migration tick interval")
-      .toggle("event-loop", "serve all connections on one epoll thread "
-                            "instead of thread-per-connection (--listen "
-                            "mode; identical wire protocol and results)")
       .toggle("stream", "stream progress events as improvements happen")
       .toggle("no-files", "reject graph_file submissions (inline graphs only)")
       .toggle("allow-remote-shutdown",
