@@ -567,7 +567,7 @@ int main(int argc, char** argv) {
       EventLoopOptions lopt;
       lopt.port = 0;
       lopt.max_clients = static_cast<unsigned>(clients) * 2;
-      EventLoopServer server(host, std::move(lopt));
+      EventLoopServer server = service_loop(host, std::move(lopt));
       const int port = server.port();
       std::thread pump([&] { server.run(); });
 

@@ -61,6 +61,23 @@ void poll_or_timeout(int fd, short events, double timeout_ms,
   }
 }
 
+sockaddr_in loopback_addr(int port) {
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  return addr;
+}
+
+/// A TCP socket (Nagle off) for a connect to 127.0.0.1:port.
+FdHandle loopback_socket(int port, int type_flags) {
+  FFP_CHECK(port > 0 && port <= 65535, "port out of range: ", port);
+  FdHandle fd(::socket(AF_INET, SOCK_STREAM | type_flags, 0));
+  if (!fd.valid()) fail_errno("socket");
+  set_nodelay(fd.get());
+  return fd;
+}
+
 [[noreturn]] void inject_conn_drop(const FdHandle& fd, const char* where) {
   shutdown_both(fd);
   throw ServiceError(ErrCode::ConnLost,
@@ -90,11 +107,9 @@ FdHandle tcp_listen(int port, int* bound_port) {
   if (!fd.valid()) fail_errno("socket");
   const int one = 1;
   ::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::bind(fd.get(), reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+  const sockaddr_in addr = loopback_addr(port);
+  if (::bind(fd.get(), reinterpret_cast<const sockaddr*>(&addr),
+             sizeof(addr)) != 0) {
     fail_errno("bind 127.0.0.1:" + std::to_string(port));
   }
   // A deep backlog: the event loop absorbs thousand-connection
@@ -113,39 +128,24 @@ FdHandle tcp_listen(int port, int* bound_port) {
   return fd;
 }
 
-FdHandle tcp_accept(const FdHandle& listener) {
-  for (;;) {
-    const int fd = ::accept(listener.get(), nullptr, nullptr);
-    if (fd >= 0) {
-      FdHandle conn(fd);
-      if (fault::fire(fault::Point::AcceptFail)) {
-        // Simulates accept-side resource exhaustion (EMFILE and friends):
-        // the connection dies on arrival; the peer sees a reset. Accept
-        // loops must log and keep serving.
-        throw ServiceError(ErrCode::ConnLost,
-                           "injected fault: accepted connection destroyed");
-      }
-      set_nodelay(fd);
-      return conn;
-    }
-    if (errno == EINTR) continue;
-    fail_errno("accept");
-  }
-}
-
 FdHandle tcp_connect(int port) {
-  FFP_CHECK(port > 0 && port <= 65535, "port out of range: ", port);
-  FdHandle fd(::socket(AF_INET, SOCK_STREAM, 0));
-  if (!fd.valid()) fail_errno("socket");
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::connect(fd.get(), reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
+  FdHandle fd = loopback_socket(port, 0);
+  const sockaddr_in addr = loopback_addr(port);
+  if (::connect(fd.get(), reinterpret_cast<const sockaddr*>(&addr),
+                sizeof(addr)) != 0) {
     fail_errno("connect 127.0.0.1:" + std::to_string(port));
   }
-  set_nodelay(fd.get());
+  return fd;
+}
+
+FdHandle tcp_connect_nonblocking(int port) {
+  FdHandle fd = loopback_socket(port, SOCK_NONBLOCK | SOCK_CLOEXEC);
+  const sockaddr_in addr = loopback_addr(port);
+  if (::connect(fd.get(), reinterpret_cast<const sockaddr*>(&addr),
+                sizeof(addr)) != 0 &&
+      errno != EINPROGRESS) {
+    fail_errno("connect 127.0.0.1:" + std::to_string(port));
+  }
   return fd;
 }
 

@@ -1,25 +1,29 @@
-// Tiny POSIX TCP helpers for the service tools: ffp_serve listens (its
-// event loop does its own non-blocking I/O over these fds), ffp_router
-// accepts and relays, clients connect, and the blocking callers speak
-// newline-delimited lines over a buffered reader. Loopback-oriented (the
-// daemon binds 127.0.0.1 only — putting a partitioner on a public
-// interface is a deployment's job, behind whatever auth it has); every
-// failure is an ffp::Error with errno text, never a silent -1.
+// Tiny POSIX TCP helpers for the service tools: the event loop
+// (net/event_loop.hpp, under both ffp_serve and ffp_router) listens and
+// dials its relay peers here, then does its own non-blocking I/O over
+// these fds; clients and the elite migrator connect, and the blocking
+// callers speak newline-delimited lines over a buffered reader.
+// Loopback-oriented (the daemons bind 127.0.0.1 only — putting a
+// partitioner on a public interface is a deployment's job, behind
+// whatever auth it has); every failure is an ffp::Error with errno text,
+// never a silent -1.
 //
 // Failure hardening (the deadline layer): reads and writes can carry
-// poll()-based timeouts so one slow or dead peer can never wedge a thread
-// — LineReader::set_timeout_ms bounds each next() call (ffp_router uses
-// it as the idle-connection reaper), write_line takes a per-call deadline
+// poll()-based timeouts so one slow or dead peer can never wedge a
+// blocking caller — LineReader::set_timeout_ms bounds each next() call
+// (the client's response timeout), write_line takes a per-call deadline
 // spanning all its partial writes. Deadline expiry throws
 // ServiceError(Timeout); a reset/torn connection throws
 // ServiceError(ConnLost) — both retryable codes, so callers can
 // distinguish "try again" from real protocol errors. Every blocking call
 // here is also a fault-injection point (util/fault.hpp): short reads, torn
-// writes, dropped connections and accept failures can be injected with
-// FFP_FAULT for chaos testing.
+// writes and dropped connections can be injected with FFP_FAULT for chaos
+// testing.
 #pragma once
 
+#include <functional>
 #include <string>
+#include <string_view>
 
 #include "runtime/errors.hpp"
 #include "util/check.hpp"
@@ -49,14 +53,14 @@ class FdHandle {
 /// receives the actual port.
 FdHandle tcp_listen(int port, int* bound_port);
 
-/// Accepts one connection (TCP_NODELAY set); blocks. Under FFP_FAULT
-/// accept_fail, an accepted connection may be destroyed on arrival
-/// (throws ConnLost) — accept loops must treat accept errors as transient
-/// and keep serving.
-FdHandle tcp_accept(const FdHandle& listener);
-
 /// Connects to 127.0.0.1:port (TCP_NODELAY set).
 FdHandle tcp_connect(int port);
+
+/// Starts a non-blocking connect to 127.0.0.1:port (TCP_NODELAY set) and
+/// returns without waiting: the socket is writable once the connect has
+/// settled, and SO_ERROR then says how. Throws ffp::Error when the
+/// connect fails at once (a refused loopback port usually does).
+FdHandle tcp_connect_nonblocking(int port);
 
 /// Turns Nagle off on a connected socket. Every socket that carries
 /// protocol lines gets it: a line is one small write, and Nagle holding it
@@ -76,10 +80,36 @@ void write_line(const FdHandle& fd, const std::string& line,
 /// collects every response.
 void shutdown_write(const FdHandle& fd);
 
-/// Full-closes both directions without releasing the fd — how the router's
-/// shutdown path unblocks connection threads parked in a read. Best-effort
-/// (never throws): racing an already-closed peer is the expected case.
+/// Full-closes both directions without releasing the fd — how the event
+/// loop's drain stops its listener, and how a test kicks loose a thread
+/// parked in a blocking read. Best-effort (never throws): racing an
+/// already-closed peer is the expected case.
 void shutdown_both(const FdHandle& fd);
+
+/// One connection's protocol as a line transport drives it, from the
+/// transport's thread: ServiceSession (a shard's jobs) and the router's
+/// relay session implement it, and the event loop feeds each client's
+/// request lines to one.
+class LineSession {
+ public:
+  using Emit = std::function<void(const std::string& line)>;
+
+  LineSession() = default;
+  LineSession(const LineSession&) = delete;
+  LineSession& operator=(const LineSession&) = delete;
+  virtual ~LineSession() = default;
+
+  /// Handles one request line; the replies go out through the session's
+  /// emit closure, now or later. Returns false for an honored shutdown
+  /// request — the transport stops. Never throws on bad input.
+  virtual bool handle_line(std::string_view line) = 0;
+  /// True while the last request's answer is owed: the transport holds
+  /// later requests (replies leave in request order) and does not count
+  /// the wait as idleness.
+  virtual bool result_pending() = 0;
+  /// Work still owed; a read-closed connection is reaped at zero.
+  virtual std::size_t pending_work() = 0;
+};
 
 /// Buffered newline-delimited reader over a connected socket.
 class LineReader {
@@ -88,8 +118,8 @@ class LineReader {
 
   /// Per-next() read deadline in milliseconds; <= 0 (the default) blocks
   /// forever. When no complete line arrives within the deadline, next()
-  /// throws ServiceError(Timeout) — ffp_serve's idle-connection reaper and
-  /// the client's response timeout are both exactly this knob.
+  /// throws ServiceError(Timeout) — the client's response timeout is
+  /// exactly this knob.
   void set_timeout_ms(double ms) { timeout_ms_ = ms; }
 
   /// Reads the next line (without the '\n'); false on orderly EOF.

@@ -42,6 +42,7 @@
 #include <string_view>
 
 #include "api/api.hpp"
+#include "service/net.hpp"
 #include "service/protocol.hpp"
 
 namespace ffp {
@@ -157,38 +158,28 @@ struct SessionPolicy {
   bool async_results = false;
 };
 
-class ServiceSession {
+class ServiceSession final : public LineSession {
  public:
-  using Emit = std::function<void(const std::string& line)>;
-
   ServiceSession(ServiceHost& host, Emit emit, SessionPolicy policy = {});
   /// Cancels this session's unfinished jobs — call drain() first for
   /// let-them-finish semantics. Waits for them unless
   /// policy.async_results (then their streaming events drop and the
   /// scheduler finishes them).
-  ~ServiceSession();
+  ~ServiceSession() override;
 
-  ServiceSession(const ServiceSession&) = delete;
-  ServiceSession& operator=(const ServiceSession&) = delete;
-
-  /// Handles one request line, emitting the response line(s). Returns
-  /// false when the line was a shutdown request — the transport loop
-  /// should stop reading. Never throws on bad input; `error` events carry
-  /// the diagnosis instead.
-  bool handle_line(std::string_view line);
+  /// Responses to commands are emitted before this returns; `error`
+  /// events carry every diagnosis.
+  bool handle_line(std::string_view line) override;
 
   /// Blocks until every job this session submitted is terminal.
   void drain();
 
-  /// Unfinished (non-terminal) jobs plus unclaimed result interests — the
-  /// event loop uses this to decide when a read-closed connection has
-  /// nothing left to say and can be reaped.
-  std::size_t pending_work();
+  /// Unfinished (non-terminal) jobs plus unclaimed result interests.
+  std::size_t pending_work() override;
 
-  /// True while an async result op is still waiting on its job: the event
-  /// loop holds the connection's later requests until it is answered, so
-  /// replies leave in request order. Always false for sync sessions.
-  bool result_pending();
+  /// True while an async result op still waits on its job; always false
+  /// for sync sessions.
+  bool result_pending() override;
 
   ServiceHost& host() { return host_; }
 

@@ -1,13 +1,8 @@
 #include "shard/router.hpp"
 
-#include <fcntl.h>
-#include <poll.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <cstdio>
 #include <map>
-#include <thread>
+#include <optional>
 #include <utility>
 
 #include "api/problem.hpp"
@@ -18,13 +13,6 @@
 namespace ffp::shard {
 
 namespace {
-
-/// Relay failure toward the CLIENT, as opposed to a backend failure: the
-/// two must stay distinguishable, or a vanished client would put a
-/// healthy shard into cooldown.
-struct ClientGone : Error {
-  using Error::Error;
-};
 
 /// Routing identity for graph_file submissions: hash the path string.
 /// The router never opens graph files — same path routes to the same
@@ -40,267 +28,93 @@ std::uint64_t path_digest(const std::string& path) {
 
 }  // namespace
 
-/// Slot gate + fd registry for the router's client side: shedding happens
-/// at the acceptor, the stop path kicks blocked readers loose. ffp_router
-/// keeps its own thread-per-client loop for now (ffp_serve's TCP side is
-/// the epoll EventLoopServer); moving the router's client side onto that
-/// loop, relays as non-blocking state machines, is a follow-up.
-class Router::ConnectionSet {
+/// One client connection's relay: a backend connection per shard (a loop
+/// peer, dialed on first use), where each job id went, and the one op in
+/// flight.
+class Router::Session final : public LineSession {
  public:
-  explicit ConnectionSet(unsigned max_clients) : max_clients_(max_clients) {}
+  Session(Router& router, Emit emit, Peers& peers)
+      : router_(router), emit_(std::move(emit)), peers_(peers) {}
 
-  int try_claim(std::shared_ptr<FdHandle> conn) {
-    std::lock_guard lock(mu_);
-    if (stopping_ || live_.size() >= max_clients_) return -1;
-    const int index = next_index_++;
-    live_.emplace(index, std::move(conn));
-    return index;
-  }
-
-  void release(int index) {
-    std::lock_guard lock(mu_);
-    live_.erase(index);
-    finished_.push_back(index);
-  }
-
-  std::vector<int> take_finished() {
-    std::lock_guard lock(mu_);
-    return std::exchange(finished_, {});
-  }
-
-  void stop_all() {
-    std::lock_guard lock(mu_);
-    stopping_ = true;
-    for (const auto& [index, conn] : live_) {
-      (void)index;
-      shutdown_both(*conn);
-    }
-  }
-
-  bool stopping() const {
-    std::lock_guard lock(mu_);
-    return stopping_;
-  }
+  bool handle_line(std::string_view raw_line) override;
+  bool result_pending() override { return op_.has_value(); }
+  std::size_t pending_work() override { return op_.has_value() ? 1 : 0; }
 
  private:
-  const std::size_t max_clients_;
-  mutable std::mutex mu_;
-  std::map<int, std::shared_ptr<FdHandle>> live_;
-  std::vector<int> finished_;
-  int next_index_ = 0;
-  bool stopping_ = false;
-};
+  /// The op being relayed. A submit also carries its ring preference
+  /// order and where failover resumes in it.
+  struct Op {
+    Op(std::string_view raw, std::string op_id, bool is_submit,
+       std::size_t at = 0)
+        : line(raw), id(std::move(op_id)), submit(is_submit), shard(at) {}
 
-/// One client connection's routing state: lazy backend connections (one
-/// per shard, reused across ops so the shard sees one session per client)
-/// and where each job id went.
-struct Router::ClientCtx {
-  struct Backend {
-    FdHandle fd;
-    LineReader reader;
-    explicit Backend(FdHandle f) : fd(std::move(f)), reader(fd) {}
+    std::string line;  ///< the raw request, resent on failover
+    std::string id;
+    bool submit;
+    std::size_t shard;  ///< where it is in flight
+    std::vector<std::size_t> pref;
+    std::size_t next = 0;      ///< next candidate in pref
+    bool last_resort = false;  ///< second pass: shards in cooldown too
   };
 
-  std::shared_ptr<FdHandle> conn;
-  std::map<std::size_t, std::unique_ptr<Backend>> backends;
-  std::map<std::string, std::size_t> routed;  ///< job id -> shard
+  void send_submit();
+  void on_backend_line(std::size_t shard, const std::string& line);
+  void on_backend_closed(std::size_t shard, const std::string& why);
+
+  Router& router_;
+  Emit emit_;
+  Peers& peers_;
+  std::map<std::size_t, int> backends_;  ///< shard -> live peer
+  /// job id -> (shard, the peer it was submitted on): a job is known only
+  /// to that one shard session.
+  std::map<std::string, std::pair<std::size_t, int>> routed_;
+  std::optional<Op> op_;
 };
 
-Router::Router(RouterOptions options)
-    : options_(std::move(options)),
-      ring_(options_.shard_ports.size(), options_.vnodes) {
-  FFP_CHECK(!options_.shard_ports.empty(),
-            "Router needs at least one shard port");
-  FFP_CHECK(options_.max_clients >= 1, "Router needs max_clients >= 1");
-  down_until_ms_.assign(options_.shard_ports.size(), 0.0);
-  listener_ = tcp_listen(options_.port, &port_);
-  int fds[2] = {-1, -1};
-  FFP_CHECK(::pipe(fds) == 0, "self-pipe creation failed: errno ", errno);
-  stop_read_ = FdHandle(fds[0]);
-  stop_write_ = FdHandle(fds[1]);
-  ::fcntl(stop_write_.get(), F_SETFL, O_NONBLOCK);
-  ::fcntl(stop_read_.get(), F_SETFD, FD_CLOEXEC);
-  ::fcntl(stop_write_.get(), F_SETFD, FD_CLOEXEC);
-  connections_ = std::make_unique<ConnectionSet>(options_.max_clients);
-}
-
-Router::~Router() = default;
-
-void Router::request_stop() noexcept {
-  const char byte = 1;
-  [[maybe_unused]] const ssize_t n = ::write(stop_write_.get(), &byte, 1);
-}
-
-bool Router::shard_up(std::size_t s) {
-  std::lock_guard lock(health_mu_);
-  return down_until_ms_[s] <= clock_.elapsed_millis();
-}
-
-void Router::mark_down(std::size_t s) {
-  std::lock_guard lock(health_mu_);
-  down_until_ms_[s] = clock_.elapsed_millis() + options_.down_cooldown_ms;
-  std::fprintf(stderr,
-               "ffp_router: shard %zu (port %d) marked down for %.0f ms\n", s,
-               options_.shard_ports[s], options_.down_cooldown_ms);
-}
-
-void Router::mark_up(std::size_t s) {
-  std::lock_guard lock(health_mu_);
-  down_until_ms_[s] = 0;
-}
-
-void Router::run() {
-  std::map<int, std::thread> workers;
-  const auto reap = [&] {
-    for (const int done : connections_->take_finished()) {
-      const auto it = workers.find(done);
-      if (it == workers.end()) continue;
-      it->second.join();
-      workers.erase(it);
-    }
-  };
-
-  for (;;) {
-    struct pollfd fds[2];
-    fds[0] = {listener_.get(), POLLIN, 0};
-    fds[1] = {stop_read_.get(), POLLIN, 0};
-    const int rc = ::poll(fds, 2, -1);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      std::fprintf(stderr, "ffp_router: poll error: errno %d\n", errno);
-      break;
-    }
-    if ((fds[1].revents & POLLIN) != 0 || connections_->stopping()) break;
-    if ((fds[0].revents & (POLLIN | POLLERR | POLLHUP)) == 0) continue;
-
-    std::shared_ptr<FdHandle> conn;
-    try {
-      conn = std::make_shared<FdHandle>(tcp_accept(listener_));
-    } catch (const Error& e) {
-      if (connections_->stopping()) break;
-      std::fprintf(stderr, "ffp_router: accept error: %s\n", e.what());
-      continue;
-    }
-    reap();
-
-    const int index = connections_->try_claim(conn);
-    if (index < 0) {
-      if (connections_->stopping()) break;
-      try {
-        write_line(*conn,
-                   format_error("",
-                                "router at capacity (" +
-                                    std::to_string(options_.max_clients) +
-                                    " clients); retry after backoff",
-                                ErrCode::Overloaded,
-                                options_.overload_retry_after_ms),
-                   options_.write_timeout_ms);
-      } catch (const std::exception&) {
-      }
-      continue;
-    }
-
-    workers.emplace(index, std::thread([this, index, conn] {
-      serve_client(index, conn);
-    }));
-  }
-
-  connections_->stop_all();
-  shutdown_both(listener_);
-  for (auto& [index, worker] : workers) {
-    (void)index;
-    if (worker.joinable()) worker.join();
-  }
-}
-
-void Router::serve_client(int index, std::shared_ptr<FdHandle> conn) {
-  {
-    ClientCtx ctx;
-    ctx.conn = conn;
-    LineReader reader(*conn);
-    reader.set_timeout_ms(options_.idle_timeout_ms);
-    std::string line;
-    bool shutdown_requested = false;
-    try {
-      while (reader.next(line)) {
-        if (!handle_request(ctx, line)) {
-          shutdown_requested = true;
-          break;
-        }
-      }
-    } catch (const ClientGone& e) {
-      std::fprintf(stderr, "ffp_router: client vanished: %s\n", e.what());
-    } catch (const ServiceError& e) {
-      if (e.code() == ErrCode::Timeout) {
-        try {
-          write_line(*conn,
-                     format_error("", std::string("idle timeout: ") + e.what(),
-                                  ErrCode::Timeout),
-                     options_.write_timeout_ms);
-        } catch (const std::exception&) {
-        }
-      } else {
-        std::fprintf(stderr, "ffp_router: connection error: %s\n", e.what());
-      }
-    } catch (const Error& e) {
-      std::fprintf(stderr, "ffp_router: connection error: %s\n", e.what());
-    }
-    if (shutdown_requested) request_stop();
-  }
-  connections_->release(index);
-}
-
-bool Router::handle_request(ClientCtx& ctx, const std::string& raw_line) {
+bool Router::Session::handle_line(std::string_view raw_line) {
   if (trim(raw_line).empty()) return true;  // keep-alive
+  const RouterOptions& options = router_.options_;
   std::string id;
   try {
     // Full validation up front: a malformed request dies HERE with a
     // structured error and never costs a backend round trip.
-    Request request = parse_request(raw_line, options_.limits);
+    const Request request = parse_request(raw_line, options.limits);
     id = request.id;
     switch (request.op) {
-      case RequestOp::Submit: {
-        const std::uint64_t digest =
+      case RequestOp::Submit:
+        op_.emplace(raw_line, id, true);
+        op_->pref = router_.ring_.preference(
             request.inline_graph != nullptr
                 ? api::graph_digest(*request.inline_graph)
-                : path_digest(request.graph_file);
-        const std::size_t shard =
-            forward_submit(ctx, digest, raw_line, request.id);
-        ctx.routed[request.id] = shard;
+                : path_digest(request.graph_file));
+        send_submit();
         return true;
-      }
       case RequestOp::Status:
       case RequestOp::Cancel:
       case RequestOp::Result: {
-        const auto it = ctx.routed.find(id);
-        if (it == ctx.routed.end()) {
+        const auto it = routed_.find(id);
+        if (it == routed_.end()) {
           throw ServiceError(ErrCode::UnknownJob,
                              "unknown job id '" + id +
                                  "' (not routed on this connection)");
         }
-        const std::size_t shard = it->second;
-        try {
-          forward_op(ctx, shard, raw_line, id);
-        } catch (const ServiceError& e) {
-          // The shard died with this client's job on it. Cooldown the
-          // shard and hand the client a retryable error: its retry loop
-          // resubmits, and the ring routes around the corpse.
-          mark_down(shard);
-          ctx.backends.erase(shard);
-          throw ServiceError(
-              ErrCode::ShuttingDown,
-              "shard " + std::to_string(shard) + " unavailable (" +
-                  e.what() + "); resubmit to fail over",
-              options_.down_cooldown_ms);
+        const auto [shard, peer] = it->second;
+        const auto backend = backends_.find(shard);
+        if (backend == backends_.end() || backend->second != peer) {
+          throw ServiceError(ErrCode::ConnLost,
+                             "the connection to shard " +
+                                 std::to_string(shard) +
+                                 " closed with this job on it; resubmit");
         }
+        op_.emplace(raw_line, id, false, shard);
+        peers_.send(peer, op_->line);
         return true;
       }
       case RequestOp::MigrateElite:
         throw Error(
-            "migrate_elite is shard-to-shard gossip; the router does not "
-            "accept it");
+            "migrate_elite is shard-to-shard gossip; the router refuses it");
       case RequestOp::Shutdown:
-        if (!options_.allow_shutdown) {
+        if (!options.allow_shutdown) {
           throw ServiceError(
               ErrCode::Forbidden,
               "shutdown is not allowed through the router (start it with "
@@ -308,107 +122,149 @@ bool Router::handle_request(ClientCtx& ctx, const std::string& raw_line) {
         }
         // Router-local: the fleet stays up; stopping shards is an
         // operator action on the shards themselves.
-        write_client(ctx, format_bye());
+        emit_(format_bye());
         return false;
     }
   } catch (const ServiceError& e) {
-    write_client(ctx, format_error(id, e.what(), e.code(),
-                                   e.retry_after_ms()));
-  } catch (const ClientGone&) {
-    throw;  // nothing left to answer to
+    emit_(format_error(id, e.what(), e.code(), e.retry_after_ms()));
   } catch (const Error& e) {
-    write_client(ctx, format_error(id, e.what(), ErrCode::BadRequest));
+    emit_(format_error(id, e.what(), ErrCode::BadRequest));
   } catch (const std::exception& e) {
-    write_client(ctx, format_error(id, e.what(), ErrCode::Internal));
+    emit_(format_error(id, e.what(), ErrCode::Internal));
   }
   return true;
 }
 
-void Router::write_client(ClientCtx& ctx, const std::string& line) {
-  try {
-    write_line(*ctx.conn, line, options_.write_timeout_ms);
-  } catch (const std::exception& e) {
-    throw ClientGone(e.what());
-  }
-}
-
-std::size_t Router::forward_submit(ClientCtx& ctx, std::uint64_t digest,
-                                   const std::string& raw_line,
-                                   const std::string& id) {
-  const std::vector<std::size_t> pref = ring_.preference(digest);
-  // Pass 0: live shards in ring order. Pass 1: everyone — when the whole
-  // preference list is cooling down, probing a corpse beats refusing.
-  for (int pass = 0; pass < 2; ++pass) {
-    for (const std::size_t s : pref) {
-      if (pass == 0 && !shard_up(s)) continue;
+/// Sends the submit in flight to its next candidate: live shards in ring
+/// order, then — when all of those failed or are cooling down — every
+/// shard, last resort (probing a corpse beats refusing). Answers the
+/// client itself when no candidate is left.
+void Router::Session::send_submit() {
+  Op& op = *op_;
+  for (;;) {
+    if (op.next == op.pref.size()) {
+      if (op.last_resort) break;
+      op.last_resort = true;
+      op.next = 0;
+    }
+    const std::size_t s = op.pref[op.next++];
+    if (!op.last_resort && !router_.shard_up(s)) continue;
+    auto it = backends_.find(s);
+    if (it == backends_.end()) {
       try {
-        forward_op(ctx, s, raw_line, id);
-        mark_up(s);
-        return s;
-      } catch (const ServiceError&) {
-        mark_down(s);
-        ctx.backends.erase(s);
+        // A dead loopback port usually refuses at once; a later refusal
+        // arrives as a close. Either way that is the health probe.
+        const int peer = peers_.connect(
+            router_.options_.shard_ports[s],
+            {[this, s](const std::string& line) { on_backend_line(s, line); },
+             [this, s](const std::string& why) {
+               on_backend_closed(s, why);
+             }});
+        it = backends_.emplace(s, peer).first;
+      } catch (const Error&) {
+        router_.mark_down(s);
+        continue;
       }
     }
+    op.shard = s;
+    peers_.send(it->second, op.line);
+    return;
   }
-  throw ServiceError(ErrCode::ShuttingDown,
+  const std::string id = op.id;
+  op_.reset();
+  emit_(format_error(id,
                      "no shard is reachable for this graph; retry after "
                      "backoff",
-                     options_.down_cooldown_ms);
+                     ErrCode::ShuttingDown, router_.options_.down_cooldown_ms));
 }
 
-void Router::forward_op(ClientCtx& ctx, std::size_t shard,
-                        const std::string& raw_line, const std::string& id) {
-  auto it = ctx.backends.find(shard);
-  if (it == ctx.backends.end()) {
-    // tcp_connect to a dead loopback port fails immediately
-    // (ECONNREFUSED) — that is the router's health probe.
-    it = ctx.backends
-             .emplace(shard, std::make_unique<ClientCtx::Backend>(
-                                 tcp_connect(options_.shard_ports[shard])))
-             .first;
+void Router::Session::on_backend_line(std::size_t shard,
+                                      const std::string& line) {
+  std::string event;
+  std::string line_id;
+  try {
+    const JsonValue root =
+        JsonValue::parse(line, router_.options_.limits.json);
+    if (const JsonValue* e = root.find("event");
+        e != nullptr && e->is_string()) {
+      event = e->as_string();
+    }
+    if (const JsonValue* i = root.find("id");
+        i != nullptr && i->is_string()) {
+      line_id = i->as_string();
+    }
+  } catch (const Error&) {
+    // Not the protocol: this backend conversation is over.
+    peers_.close(backends_.at(shard));
+    on_backend_closed(shard, "unparseable response line");
+    return;
   }
-  ClientCtx::Backend& backend = *it->second;
-  write_line(backend.fd, raw_line, options_.write_timeout_ms);
-  backend.reader.set_timeout_ms(options_.backend_io_timeout_ms);
-
-  bool drop_backend = false;
-  std::string line;
-  for (;;) {
-    if (!backend.reader.next(line)) {
-      throw ServiceError(ErrCode::ConnLost, "shard closed the connection");
-    }
-    // Verbatim relay FIRST: whatever the shard said, the client hears —
-    // the router adds routing, never rewrites answers.
-    write_client(ctx, line);
-
-    std::string event;
-    std::string line_id;
-    try {
-      const JsonValue root = JsonValue::parse(line, options_.limits.json);
-      if (const JsonValue* e = root.find("event");
-          e != nullptr && e->is_string()) {
-        event = e->as_string();
-      }
-      if (const JsonValue* i = root.find("id");
-          i != nullptr && i->is_string()) {
-        line_id = i->as_string();
-      }
-    } catch (const Error&) {
-      throw ServiceError(ErrCode::ConnLost,
-                         "shard response was not parseable");
-    }
-    if (event == "progress") continue;  // stream-through, op still open
-    if (event == "error" && line_id.empty()) {
-      // Connection-level rejection from the shard (shed, reap, drain):
-      // already relayed; this backend conversation is over. The client's
-      // own retry policy takes it from here.
-      drop_backend = true;
-      break;
-    }
-    if (line_id == id || event == "bye") break;  // op settled
+  if (!op_.has_value() || op_->shard != shard) {
+    // Nothing is asked of this shard: a job's progress stream is the
+    // client's to hear, anything else (an idle-reap goodbye to this
+    // relay, say) answers nobody.
+    if (event == "progress") emit_(line);
+    return;
   }
-  if (drop_backend) ctx.backends.erase(shard);
+  // Verbatim relay: whatever the shard said, the client hears — the
+  // router adds routing, never rewrites answers.
+  emit_(line);
+  if (event == "progress") return;  // stream-through, op still open
+  const bool rejected = event == "error" && line_id.empty();
+  if (!rejected && line_id != op_->id) return;
+  if (op_->submit) {
+    router_.down_until_ms_[shard] = 0;  // it answered: back in rotation
+    routed_[op_->id] = {shard, backends_.at(shard)};
+  }
+  op_.reset();
+  if (rejected) {
+    // Connection-level rejection from the shard (shed, reap, drain),
+    // already relayed: this backend conversation is over, and the
+    // client's own retry policy takes it from here.
+    peers_.close(backends_.at(shard));
+    backends_.erase(shard);
+  }
+}
+
+void Router::Session::on_backend_closed(std::size_t shard,
+                                        const std::string& why) {
+  backends_.erase(shard);
+  // With nothing in flight there, the next op pinned to this shard
+  // learns of it.
+  if (!op_.has_value() || op_->shard != shard) return;
+  router_.mark_down(shard);
+  if (op_->submit) {
+    send_submit();
+    return;
+  }
+  // The shard died with this client's job on it: a retryable error, so
+  // the client's retry loop resubmits and the ring routes around the
+  // shard at once — no retry-after hint, there is nothing to wait for.
+  const std::string id = op_->id;
+  op_.reset();
+  emit_(format_error(id,
+                     "shard " + std::to_string(shard) + " unavailable (" +
+                         why + "); resubmit to fail over",
+                     ErrCode::ShuttingDown));
+}
+
+Router::Router(RouterOptions options)
+    : options_(std::move(options)),
+      ring_(options_.shard_ports.size(), options_.vnodes),
+      down_until_ms_(options_.shard_ports.size(), 0.0),
+      loop_(options_.loop, stats_,
+            [this](LineSession::Emit emit, Peers& peers) {
+              return std::make_unique<Session>(*this, std::move(emit), peers);
+            }) {}
+
+Router::~Router() = default;
+
+void Router::mark_down(std::size_t s) {
+  down_until_ms_[s] = clock_.elapsed_millis() + options_.down_cooldown_ms;
+  down_marks_.fetch_add(1, std::memory_order_relaxed);
+  std::fprintf(stderr,
+               "ffp_router: shard %zu (port %d) marked down for %.0f ms\n", s,
+               options_.shard_ports[s], options_.down_cooldown_ms);
 }
 
 }  // namespace ffp::shard

@@ -3,37 +3,46 @@
 // shards, chosen by graph digest on a consistent-hash ring (hash_ring.hpp)
 // so that repeat traffic on one graph always hits the same shard — that
 // shard's result cache answers the repeats and its elite archive keeps
-// learning the graph. The router holds no solver state at all: every
-// response line from the shard is relayed to the client verbatim.
+// learning the graph. Inline graphs route by content digest, graph_file
+// submissions by a hash of the path (the router never opens files). The
+// router holds no solver state: shard lines relay to the client verbatim.
 //
-// Routing identity: inline graphs route by their content digest (the same
-// api::graph_digest the cache keys on); graph_file submissions route by a
-// hash of the path string — the router never opens graph files, and same
-// path means same shard means the digest computed THERE is hot.
+// It is a session type on the one EventLoopServer: each client gets a
+// relay session whose backend connections (one per shard, reused across
+// ops, so a shard sees one session per client) are loop peers; everything
+// runs on the loop thread. One op is in flight per client — the session
+// owes an answer until the shard sends a line with the request's id, so
+// later requests wait and the idle clock stops, as on a shard. Backend
+// lines relay as they arrive (progress streams live); a line from a shard
+// with no op in flight there relays only if it is `progress` — anything
+// else, say its idle-reap goodbye to the relay, answers nobody.
 //
 // Failure story (the retryable-error taxonomy end to end):
-//   * A shard that refuses, resets, or times out is marked down for
-//     `down_cooldown_ms` and the submit fails over along the ring's
-//     preference order in the same request — the client sees the ack from
-//     whichever shard took the job.
-//   * Ops pinned to a shard that died mid-flight (status/cancel/result of
-//     a routed job) are answered with a retryable `shutting_down` error;
-//     a ServiceClient resubmits the job on its next attempt and the ring
-//     routes it to the failover shard — idempotent via the shard caches.
-//   * A shard's own connection-level rejections (overload shed, idle
-//     reap) relay verbatim; the client's backoff applies unchanged.
+//   * A submit whose shard refuses, resets or closes before settling it
+//     marks the shard down for `down_cooldown_ms` and is resent along the
+//     ring's preference order — the client sees the ack of whichever
+//     shard took the job. Shards in cooldown are skipped, and tried last
+//     resort when every shard is down.
+//   * An op pinned to a shard (status/cancel/result) whose backend dies
+//     with the op in flight marks the shard down and gets a retryable
+//     `shutting_down` error; one whose backend the shard already closed
+//     gets a retryable `conn_lost` error. Both carry the job id, and a
+//     pinned op never opens a fresh backend (a new shard session cannot
+//     know the id): the client resubmits, and the ring routes the job back
+//     to its shard's cache, or around the shard if it is down.
+//   * A shard's connection-level rejections (shed, idle reap, drain) that
+//     answer an op in flight relay verbatim; the client's backoff applies.
 //
 // Shutdown ops are router-local (gated by allow_shutdown) — a client must
 // not be able to stop a whole fleet through the front door. migrate_elite
 // is rejected: migration is shard-to-shard gossip, not client traffic.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <vector>
 
-#include "service/net.hpp"
+#include "net/event_loop.hpp"
 #include "service/protocol.hpp"
 #include "shard/hash_ring.hpp"
 #include "util/timer.hpp"
@@ -41,17 +50,9 @@
 namespace ffp::shard {
 
 struct RouterOptions {
-  int port = 0;               ///< 127.0.0.1 port; 0 picks ephemeral
+  /// The client side; write_timeout_ms also bounds backend writes.
+  EventLoopOptions loop;
   std::vector<int> shard_ports;  ///< backend ffp_serve ports, 127.0.0.1
-  unsigned max_clients = 64;  ///< live client sessions; beyond this, shed
-  double idle_timeout_ms = 30000;   ///< client idle reap
-  double write_timeout_ms = 10000;  ///< client response write deadline
-  /// Relay read deadline per backend response line. <= 0 blocks forever —
-  /// the right default, because a `result` op legitimately waits out the
-  /// whole solve; a shard that dies mid-wait closes the socket and fails
-  /// the read immediately either way.
-  double backend_io_timeout_ms = 0;
-  double overload_retry_after_ms = 250;
   /// How long a failed shard stays out of the rotation before the next
   /// request may probe it again.
   double down_cooldown_ms = 2000;
@@ -69,51 +70,35 @@ class Router {
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  int port() const { return port_; }
+  int port() const { return loop_.port(); }
   std::size_t shards() const { return options_.shard_ports.size(); }
 
   /// Serves until request_stop() (or an allowed client shutdown op).
-  void run();
+  void run() { loop_.run(); }
 
-  /// Async-signal-safe stop request (self-pipe write); idempotent.
-  void request_stop() noexcept;
+  /// Async-signal-safe stop request; idempotent.
+  void request_stop() noexcept { loop_.request_stop(); }
+
+  /// How many times a shard has been marked down (failover ran).
+  std::int64_t down_marks() const {
+    return down_marks_.load(std::memory_order_relaxed);
+  }
 
  private:
-  class ConnectionSet;
-  struct ClientCtx;
+  class Session;
 
-  void serve_client(int index, std::shared_ptr<FdHandle> conn);
-  bool handle_request(ClientCtx& ctx, const std::string& raw_line);
-  /// Writes one line to the client; rethrows write failures as a distinct
-  /// type so they never masquerade as shard failures.
-  void write_client(ClientCtx& ctx, const std::string& line);
-
-  bool shard_up(std::size_t s);
+  bool shard_up(std::size_t s) const {
+    return down_until_ms_[s] <= clock_.elapsed_millis();
+  }
   void mark_down(std::size_t s);
-  void mark_up(std::size_t s);
-  /// Routes one submit: tries the ring's preference order, skipping
-  /// shards in cooldown (falling back to them last-resort when everyone
-  /// is down). Returns the shard that settled the op.
-  std::size_t forward_submit(ClientCtx& ctx, std::uint64_t digest,
-                             const std::string& raw_line,
-                             const std::string& id);
-  /// Forwards one raw line to `shard` and relays responses until the op
-  /// settles (terminal event for `id`, or a connection-level error).
-  /// Throws ServiceError on backend transport failure.
-  void forward_op(ClientCtx& ctx, std::size_t shard,
-                  const std::string& raw_line, const std::string& id);
 
   RouterOptions options_;
   HashRing ring_;
-  FdHandle listener_;
-  int port_ = 0;
-  FdHandle stop_read_;
-  FdHandle stop_write_;
-  std::unique_ptr<ConnectionSet> connections_;
-
   WallTimer clock_;
-  std::mutex health_mu_;
   std::vector<double> down_until_ms_;  ///< per shard; 0 = up
+  std::atomic<std::int64_t> down_marks_{0};
+  ServeStats stats_;
+  EventLoopServer loop_;  ///< last: its sessions use everything above
 };
 
 }  // namespace ffp::shard

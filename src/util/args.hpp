@@ -3,6 +3,7 @@
 // a generated usage string. No external dependencies, deliberately small.
 #pragma once
 
+#include <algorithm>
 #include <map>
 #include <optional>
 #include <string>
@@ -72,6 +73,26 @@ class ArgParser {
   }
 
   bool get_bool(const std::string& name) const { return get(name) == "true"; }
+
+  /// A comma-separated port list ("17917,17918"); empty entries skipped.
+  std::vector<int> get_ports(const std::string& name) const {
+    std::vector<int> ports;
+    const std::string csv = get(name);
+    for (std::size_t start = 0; start <= csv.size();) {
+      const std::size_t comma = std::min(csv.find(',', start), csv.size());
+      const std::string_view piece =
+          trim(std::string_view(csv).substr(start, comma - start));
+      if (!piece.empty()) {
+        const auto port = parse_int(piece);
+        FFP_CHECK(port.has_value() && *port >= 1 && *port <= 65535, "--",
+                  name, " entries must be ports (1..65535), got '",
+                  std::string(piece), "'");
+        ports.push_back(static_cast<int>(*port));
+      }
+      start = comma + 1;
+    }
+    return ports;
+  }
 
   bool was_set(const std::string& name) const { return values_.count(name) > 0; }
 

@@ -76,6 +76,14 @@ TEST(Args, DuplicateRegistrationThrows) {
   EXPECT_THROW(p.flag("x", "2", "again"), Error);
 }
 
+TEST(Args, PortListsParseAndRejectNonPorts) {
+  ArgParser p;
+  p.flag("shards", "", "ports").flag("peers", "", "ports");
+  parse(p, {"--shards", " 17917, 17918,,", "--peers", "17917,70000"});
+  EXPECT_EQ(p.get_ports("shards"), (std::vector<int>{17917, 17918}));
+  EXPECT_THROW(p.get_ports("peers"), Error);
+}
+
 TEST(Args, UsageMentionsFlagsAndHelp) {
   auto p = make_parser();
   const auto usage = p.usage();

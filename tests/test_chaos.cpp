@@ -40,9 +40,10 @@ struct FaultGuard {
 /// background thread. The destructor drains.
 struct ChaosServer {
   explicit ChaosServer(ServiceOptions sopt = service_defaults(),
-                       EventLoopOptions topt = server_defaults())
+                       EventLoopOptions topt = server_defaults(),
+                       SessionPolicy policy = {})
       : host(std::move(sopt)),
-        server(host, std::move(topt)),
+        server(service_loop(host, std::move(topt), policy)),
         pump([this] { server.run(); }) {}
 
   ~ChaosServer() {
@@ -299,9 +300,10 @@ TEST(Chaos, IdleReaperSparesAConnectionAwaitingItsResult) {
 }
 
 TEST(Chaos, RemoteShutdownForbiddenByDefaultPolicy) {
-  EventLoopOptions topt = ChaosServer::server_defaults();
-  topt.session.allow_shutdown = false;  // what ffp_serve defaults to on TCP
-  ChaosServer server(ChaosServer::service_defaults(), topt);
+  SessionPolicy policy;
+  policy.allow_shutdown = false;  // what ffp_serve defaults to on TCP
+  ChaosServer server(ChaosServer::service_defaults(),
+                     ChaosServer::server_defaults(), policy);
 
   FdHandle conn = tcp_connect(server.port());
   LineReader reader(conn);

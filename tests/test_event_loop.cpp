@@ -39,7 +39,7 @@ struct LoopServer {
   explicit LoopServer(ServiceOptions sopt = service_defaults(),
                       EventLoopOptions lopt = loop_defaults())
       : host(std::move(sopt)),
-        server(host, std::move(lopt)),
+        server(service_loop(host, std::move(lopt))),
         pump([this] { server.run(); }) {}
 
   ~LoopServer() {

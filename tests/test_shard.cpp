@@ -6,19 +6,28 @@
 //     when a shard is added (never a full reshuffle);
 //   * repeat submissions of one graph through the router land on ONE
 //     shard — its result cache answers the repeats (digest affinity);
+//   * the router runs on the event loop: 1024 clients cost no threads,
+//     progress streams relay live, and a backend the shard closed is
+//     noticed when it happens — its goodbye answers nobody, and the next
+//     op pinned there gets a retryable error naming its job;
 //   * a shard SIGKILLed mid-batch costs retries, not results: the
-//     router's retryable errors plus the client's resubmission loop land
-//     every job on the survivor, byte-identical to a fault-free run;
+//     router's failover and retryable errors plus the client's
+//     resubmission loop land every job on the survivor, byte-identical
+//     to a fault-free run — and so do injected faults on every
+//     connection in the fleet;
 //   * an elite migrated between shards is admitted through the peer's
 //     diversity-aware archive rules and is visible in its counters.
 #include "shard/hash_ring.hpp"
 
 #include <gtest/gtest.h>
 #include <signal.h>
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdlib>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <set>
@@ -26,6 +35,7 @@
 #include <thread>
 #include <vector>
 
+#include "api/problem.hpp"
 #include "net/event_loop.hpp"
 #include "service/client.hpp"
 #include "service/json.hpp"
@@ -33,6 +43,7 @@
 #include "service/service.hpp"
 #include "shard/migrate.hpp"
 #include "shard/router.hpp"
+#include "util/fault.hpp"
 #include "util/rng.hpp"
 
 namespace ffp {
@@ -97,9 +108,10 @@ TEST(HashRing, AddingAShardRemapsABoundedFraction) {
 // background threads.
 
 struct Shard {
-  explicit Shard(std::size_t evolve_capacity = 8)
-      : host(options(evolve_capacity)),
-        server(host, server_options()),
+  explicit Shard(ServiceOptions sopt = options(),
+                 EventLoopOptions lopt = server_options())
+      : host(std::move(sopt)),
+        server(service_loop(host, std::move(lopt))),
         pump([this] { server.run(); }) {}
 
   ~Shard() {
@@ -107,10 +119,9 @@ struct Shard {
     if (pump.joinable()) pump.join();
   }
 
-  static ServiceOptions options(std::size_t evolve_capacity) {
+  static ServiceOptions options() {
     ServiceOptions o;
     o.runners = 2;
-    o.evolve_capacity = evolve_capacity;
     return o;
   }
   static EventLoopOptions server_options() {
@@ -127,12 +138,13 @@ struct Shard {
 };
 
 struct Fleet {
-  explicit Fleet(std::size_t shards, shard::RouterOptions ropt = {}) {
+  explicit Fleet(std::size_t shards, shard::RouterOptions ropt = {},
+                 ServiceOptions sopt = Shard::options(),
+                 EventLoopOptions lopt = Shard::server_options()) {
     for (std::size_t s = 0; s < shards; ++s) {
-      members.push_back(std::make_unique<Shard>());
+      members.push_back(std::make_unique<Shard>(sopt, lopt));
       ropt.shard_ports.push_back(members.back()->port());
     }
-    ropt.port = 0;
     router = std::make_unique<shard::Router>(std::move(ropt));
     pump = std::thread([this] { router->run(); });
   }
@@ -160,7 +172,8 @@ ServiceClientOptions fleet_client(int port) {
   return options;
 }
 
-std::string ring_submit(const std::string& id, int n, int seed) {
+std::string ring_submit(const std::string& id, int n, int seed,
+                        int steps = 400) {
   std::string edges = "[";
   for (int v = 0; v < n; ++v) {
     if (v > 0) edges += ",";
@@ -169,7 +182,8 @@ std::string ring_submit(const std::string& id, int n, int seed) {
   edges += "]";
   return "{\"op\":\"submit\",\"id\":\"" + id + "\",\"graph\":{\"n\":" +
          std::to_string(n) + ",\"edges\":" + edges +
-         "},\"k\":2,\"steps\":400,\"seed\":" + std::to_string(seed) + "}";
+         "},\"k\":2,\"steps\":" + std::to_string(steps) +
+         ",\"seed\":" + std::to_string(seed) + "}";
 }
 
 std::map<std::string, std::pair<std::vector<int>, double>> outcomes(
@@ -248,6 +262,226 @@ TEST(Router, StatusOfUnroutedJobIsUnknownAndShutdownIsGated) {
   write_line(conn, ring_submit("ok", 12, 5));
   ASSERT_TRUE(reader.next(line));
   EXPECT_EQ(JsonValue::parse(line).find("event")->as_string(), "ack") << line;
+}
+
+/// The shard a router over `shards` shards tries first for this submit.
+std::size_t first_shard(const std::string& submit_line, std::size_t shards) {
+  const Request request = parse_request(submit_line);
+  return HashRing(shards, shard::RouterOptions{}.vnodes)
+      .owner(api::graph_digest(*request.inline_graph));
+}
+
+std::string field(const std::string& line, const char* name) {
+  const JsonValue root = JsonValue::parse(line);
+  const JsonValue* value = root.find(name);
+  return value != nullptr && value->is_string() ? value->as_string() : "";
+}
+
+// A shard reaping the router's idle relay must not leak its goodbye into
+// the next op's answer, and an op pinned to a job whose backend is gone
+// gets a retryable error naming the job — never a fresh backend session,
+// which could only say the id is unknown.
+TEST(Router, PinnedOpOnAClosedBackendIsRetryableAndNamesItsJob) {
+  EventLoopOptions reaping = Shard::server_options();
+  reaping.idle_timeout_ms = 200;
+  Fleet fleet(1, {}, Shard::options(), reaping);
+  FdHandle conn = tcp_connect(fleet.port());
+  LineReader reader(conn);
+  reader.set_timeout_ms(10000);
+  std::string line;
+  write_line(conn, ring_submit("a", 12, 5));
+  ASSERT_TRUE(reader.next(line));
+  ASSERT_EQ(field(line, "event"), "ack") << line;
+
+  std::this_thread::sleep_for(std::chrono::milliseconds(600));
+  const auto expect_retryable = [&] {
+    write_line(conn, R"({"op":"status","id":"a"})");
+    ASSERT_TRUE(reader.next(line));
+    const JsonValue reply = JsonValue::parse(line);
+    EXPECT_EQ(field(line, "event"), "error") << line;
+    EXPECT_EQ(field(line, "id"), "a") << line;
+    ASSERT_NE(reply.find("retryable"), nullptr) << line;
+    EXPECT_TRUE(reply.find("retryable")->as_bool()) << line;
+  };
+  expect_retryable();
+  expect_retryable();
+
+  // A later submit dials the shard afresh; `a` is still unknown to that
+  // new shard session, so it still gets the retryable error.
+  write_line(conn, ring_submit("b", 13, 5));
+  ASSERT_TRUE(reader.next(line));
+  ASSERT_EQ(field(line, "event"), "ack") << line;
+  expect_retryable();
+  write_line(conn, R"({"op":"status","id":"b"})");
+  ASSERT_TRUE(reader.next(line));
+  EXPECT_EQ(field(line, "event"), "status") << line;
+}
+
+// The same situation under a retrying client: a long job on one shard
+// holds the client's connection while the other shard reaps its idle
+// relay, so the quick job's result op meets a closed backend. The retry
+// ends with the result that shard cached.
+TEST(Router, ClientRetryRecoversAJobWhoseBackendWasReaped) {
+  std::string slow;
+  std::string quick;
+  for (int n = 8; n < 64 && (slow.empty() || quick.empty()); ++n) {
+    const std::string s = ring_submit("slow", n, 3, 500000);
+    const std::string q = ring_submit("quick", n, 4);
+    if (slow.empty() && first_shard(s, 2) == 0) slow = s;
+    if (quick.empty() && first_shard(q, 2) == 1) quick = q;
+  }
+  ASSERT_FALSE(slow.empty() || quick.empty());
+
+  std::map<std::string, std::pair<std::vector<int>, double>> reference;
+  {
+    Shard solo;
+    ServiceClient client(fleet_client(solo.port()));
+    reference = outcomes(client.run({ClientJob{"quick", quick}}), true);
+  }
+
+  EventLoopOptions reaping = Shard::server_options();
+  reaping.idle_timeout_ms = 200;
+  Fleet fleet(2, {}, Shard::options(), reaping);
+  ServiceClientOptions options = fleet_client(fleet.port());
+  int backoffs = 0;
+  options.on_backoff = [&backoffs](int, double, const std::string&) {
+    ++backoffs;
+  };
+  ServiceClient client(options);
+  const auto results =
+      outcomes(client.run({ClientJob{"slow", slow}, ClientJob{"quick", quick}}),
+               true);
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_EQ(results.at("quick"), reference.at("quick"));
+  EXPECT_GE(backoffs, 1) << "the reaped relay never cost a retry";
+  EXPECT_GE(fleet.members[1]->host.engine().cache_counters().hits, 1)
+      << "the retry did not come from the shard's cache";
+}
+
+// A job's progress stream relays as it happens: after the ack, the
+// client reads progress without sending another op.
+TEST(Router, ProgressStreamsLiveThroughTheRouter) {
+  ServiceOptions streaming = Shard::options();
+  streaming.stream_progress = true;
+  Fleet fleet(1, {}, streaming);
+
+  constexpr int kSide = 32;
+  std::string edges = "[";
+  for (int v = 0; v < kSide * kSide; ++v) {
+    if (v % kSide + 1 < kSide) {
+      edges += (edges.size() > 1 ? ",[" : "[") + std::to_string(v) + "," +
+               std::to_string(v + 1) + "]";
+    }
+    if (v + kSide < kSide * kSide) {
+      edges += (edges.size() > 1 ? ",[" : "[") + std::to_string(v) + "," +
+               std::to_string(v + kSide) + "]";
+    }
+  }
+  edges += "]";
+  FdHandle conn = tcp_connect(fleet.port());
+  LineReader reader(conn);
+  reader.set_timeout_ms(5000);
+  write_line(conn, R"({"op":"submit","id":"g","graph":{"n":)" +
+                       std::to_string(kSide * kSide) + R"(,"edges":)" +
+                       edges + R"(},"k":8,"budget_ms":3000,"seed":1})");
+  std::string line;
+  do {
+    ASSERT_TRUE(reader.next(line));
+  } while (field(line, "event") == "progress");
+  ASSERT_EQ(field(line, "event"), "ack") << line;
+  ASSERT_TRUE(reader.next(line)) << "no progress after the ack";
+  EXPECT_EQ(field(line, "event"), "progress") << line;
+  EXPECT_EQ(field(line, "id"), "g") << line;
+}
+
+int thread_count() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::atoi(line.c_str() + 8);
+  }
+  return -1;
+}
+
+// The router holds >= 1024 clients on the event loop: every one gets an
+// answer (status of an unrouted job is answered locally, with no
+// backend), and the process thread count does not move.
+TEST(Router, SustainsAThousandClientsWithBoundedThreads) {
+  // Two fds per connection (client + router end), plus slack.
+  rlimit limit{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &limit), 0);
+  const rlim_t wanted = 4096;
+  if (limit.rlim_cur < wanted && limit.rlim_max >= wanted) {
+    rlimit raised = limit;
+    raised.rlim_cur = wanted;
+    ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &raised), 0);
+  } else if (limit.rlim_max < wanted) {
+    GTEST_SKIP() << "RLIMIT_NOFILE hard cap " << limit.rlim_max
+                 << " cannot hold 2x1024 sockets";
+  }
+
+  constexpr int kConns = 1024;
+  shard::RouterOptions ropt;
+  ropt.loop.max_clients = kConns + 8;
+  Fleet fleet(1, ropt);
+  const int threads_before = thread_count();
+  ASSERT_GT(threads_before, 0);
+
+  std::vector<FdHandle> conns;
+  conns.reserve(kConns);
+  for (int i = 0; i < kConns; ++i) conns.push_back(tcp_connect(fleet.port()));
+  for (const FdHandle& conn : conns) {
+    write_line(conn, R"({"op":"status","id":"probe"})", 10000);
+  }
+  for (int i = 0; i < kConns; ++i) {
+    LineReader reader(conns[static_cast<std::size_t>(i)]);
+    reader.set_timeout_ms(20000);
+    std::string line;
+    ASSERT_TRUE(reader.next(line)) << "connection " << i << " got no reply";
+    EXPECT_EQ(field(line, "code"), "unknown_job") << line;
+  }
+  EXPECT_LE(thread_count(), threads_before)
+      << "the router grew threads with its client count";
+
+  // With all of that held open, a job still relays end to end.
+  ServiceClient client(fleet_client(fleet.port()));
+  EXPECT_EQ(outcomes(client.run({ClientJob{"ok", ring_submit("ok", 12, 5)}}),
+                     true)
+                .size(),
+            1u);
+}
+
+// Chaos through the fleet: FFP_FAULT fires on the client's, the router's
+// (client side and shard relays) and the shards' connections alike, and
+// the retrying client still ends with the fault-free bytes.
+TEST(RouterChaos, MixedFaultsThroughTheFleetKeepResultsByteIdentical) {
+  std::vector<ClientJob> jobs;
+  for (int i = 0; i < 4; ++i) {
+    const std::string id = "x" + std::to_string(i);
+    jobs.push_back({id, ring_submit(id, 10 + i, 41 + i)});
+  }
+  std::map<std::string, std::pair<std::vector<int>, double>> reference;
+  {
+    Shard solo;
+    ServiceClient client(fleet_client(solo.port()));
+    reference = outcomes(client.run(jobs), true);
+  }
+  ASSERT_EQ(reference.size(), jobs.size());
+
+  shard::RouterOptions ropt;
+  ropt.down_cooldown_ms = 50;
+  Fleet fleet(2, ropt);
+  struct Quiet {  // the injector is off again however the test ends
+    ~Quiet() { fault::configure(""); }
+  } quiet;
+  fault::configure(
+      "conn_drop=0.3;short_read=0.3;torn_write=0.2;seed=17;max_fires=6");
+  ServiceClient client(fleet_client(fleet.port()));
+  const auto chaos = outcomes(client.run(jobs), true);
+  const std::int64_t fires = fault::fires();
+  fault::configure("");  // quiet before the fleet drains
+  EXPECT_GT(fires, 0) << "the scenario injected nothing";
+  EXPECT_EQ(chaos, reference) << "faults through the router changed bytes";
 }
 
 // ------------------------------------------------------------------------
@@ -374,7 +608,9 @@ std::vector<ClientJob> drill_jobs() {
   for (int i = 0; i < 6; ++i) {
     const std::string id = "f" + std::to_string(i);
     // Distinct ring sizes: distinct digests, so both shards get traffic.
-    jobs.push_back({id, ring_submit(id, 10 + i, 31 + i)});
+    // ~0.5 s of solving each, so the kill below lands while results are
+    // still pending.
+    jobs.push_back({id, ring_submit(id, 10 + i, 31 + i, 300000)});
   }
   return jobs;
 }
@@ -395,6 +631,13 @@ drill_reference() {
 
 TEST(RouterFailover, SigkilledShardMidBatchCostsRetriesNotResults) {
   const auto& reference = drill_reference();
+  // Shard a is shard 0 on the ring; it owns part of the batch, so the
+  // kill below has jobs to take down.
+  std::size_t on_a = 0;
+  for (const ClientJob& job : drill_jobs()) {
+    on_a += first_shard(job.submit_line, 2) == 0 ? 1 : 0;
+  }
+  ASSERT_GT(on_a, 0u);
 
   ShardProc a;
   ShardProc b;
@@ -412,9 +655,8 @@ TEST(RouterFailover, SigkilledShardMidBatchCostsRetriesNotResults) {
     ServiceClient client(fleet_client(router.port()));
     results = client.run(drill_jobs());
   });
-  // SIGKILL one shard while the batch is (very likely) mid-flight. The
-  // timing can land anywhere; the contract is timing-independent.
-  std::this_thread::sleep_for(std::chrono::milliseconds(40));
+  // SIGKILL one shard while its jobs are still solving.
+  std::this_thread::sleep_for(std::chrono::milliseconds(150));
   a.sigkill();
   batch.join();
 
@@ -424,6 +666,7 @@ TEST(RouterFailover, SigkilledShardMidBatchCostsRetriesNotResults) {
 
   router.request_stop();
   pump.join();
+  EXPECT_GE(router.down_marks(), 1) << "the drill never failed over";
 }
 
 }  // namespace

@@ -57,27 +57,6 @@
 
 namespace {
 
-/// "17917,17918" -> ports. Used by --peers.
-std::vector<int> parse_ports(const std::string& csv) {
-  std::vector<int> ports;
-  std::size_t start = 0;
-  while (start <= csv.size()) {
-    std::size_t comma = csv.find(',', start);
-    if (comma == std::string::npos) comma = csv.size();
-    const std::string_view piece =
-        ffp::trim(std::string_view(csv).substr(start, comma - start));
-    if (!piece.empty()) {
-      const auto port = ffp::parse_int(piece);
-      FFP_CHECK(port.has_value() && *port >= 1 && *port <= 65535,
-                "--peers entries must be ports (1..65535), got '",
-                std::string(piece), "'");
-      ports.push_back(static_cast<int>(*port));
-    }
-    start = comma + 1;
-  }
-  return ports;
-}
-
 ffp::ServiceOptions host_options(const ffp::ArgParser& args) {
   ffp::ServiceOptions options;
   options.runners = static_cast<unsigned>(args.get_int("runners"));
@@ -133,7 +112,7 @@ extern "C" void on_stop_signal(int) {
 /// --peers is empty, a running EliteMigrator otherwise.
 std::unique_ptr<ffp::shard::EliteMigrator> make_migrator(
     const ffp::ArgParser& args, ffp::ServiceHost& host) {
-  const std::vector<int> peers = parse_ports(args.get("peers"));
+  const std::vector<int> peers = args.get_ports("peers");
   if (peers.empty()) return nullptr;
   const std::int64_t period = args.get_int("migrate-every-ms");
   FFP_CHECK(period >= 1, "--migrate-every-ms must be >= 1");
@@ -170,8 +149,9 @@ int serve_tcp(const ffp::ArgParser& args, int port) {
   options.max_clients = static_cast<unsigned>(max_clients);
   options.idle_timeout_ms = static_cast<double>(idle_ms);
   options.write_timeout_ms = static_cast<double>(write_ms);
-  options.session.allow_shutdown = args.get_bool("allow-remote-shutdown");
-  ffp::EventLoopServer server(host, options);
+  ffp::SessionPolicy policy;
+  policy.allow_shutdown = args.get_bool("allow-remote-shutdown");
+  ffp::EventLoopServer server = ffp::service_loop(host, options, policy);
 
   g_server = &server;
   std::signal(SIGTERM, on_stop_signal);
@@ -180,7 +160,7 @@ int serve_tcp(const ffp::ArgParser& args, int port) {
                "ffp_serve: listening on 127.0.0.1:%d (up to %lld "
                "concurrent clients%s)\n",
                server.port(), static_cast<long long>(max_clients),
-               options.session.allow_shutdown ? ", remote shutdown allowed"
+               policy.allow_shutdown ? ", remote shutdown allowed"
                                               : "");
   server.run();
   g_server = nullptr;
