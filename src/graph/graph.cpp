@@ -11,17 +11,7 @@ Graph Graph::from_edges(VertexId n, std::span<const WeightedEdge> edges,
   FFP_CHECK(n >= 0, "negative vertex count");
   Graph g;
   g.n_ = n;
-
-  if (vertex_weights.empty()) {
-    g.vwgt_.assign(static_cast<std::size_t>(n), 1.0);
-  } else {
-    FFP_CHECK(static_cast<VertexId>(vertex_weights.size()) == n,
-              "vertex_weights size ", vertex_weights.size(), " != n ", n);
-    for (Weight w : vertex_weights) FFP_CHECK(w > 0.0, "vertex weight must be > 0");
-    g.vwgt_ = std::move(vertex_weights);
-  }
-  g.total_vwgt_ = 0.0;
-  for (Weight w : g.vwgt_) g.total_vwgt_ += w;
+  g.vwgt_ = std::move(vertex_weights);
 
   // Count arcs per vertex (validating as we go).
   std::vector<ArcId> count(static_cast<std::size_t>(n) + 1, 0);
@@ -70,20 +60,66 @@ Graph Graph::from_edges(VertexId n, std::span<const WeightedEdge> edges,
     g.xadj_[v + 1] = static_cast<ArcId>(g.adj_.size());
   }
 
-  g.wdeg_.assign(static_cast<std::size_t>(n), 0.0);
-  g.total_ewgt_ = 0.0;
-  g.max_ewgt_ = 0.0;
-  g.min_ewgt_ = g.adj_.empty() ? 0.0 : std::numeric_limits<Weight>::infinity();
-  for (VertexId v = 0; v < n; ++v) {
-    for (ArcId a = g.xadj_[v]; a < g.xadj_[v + 1]; ++a) {
-      const Weight w = g.wgt_[static_cast<std::size_t>(a)];
-      g.wdeg_[v] += w;
-      g.max_ewgt_ = std::max(g.max_ewgt_, w);
-      g.min_ewgt_ = std::min(g.min_ewgt_, w);
-      if (g.adj_[static_cast<std::size_t>(a)] > v) g.total_ewgt_ += w;
+  g.finish();
+  return g;
+}
+
+Graph Graph::from_csr(std::vector<ArcId> xadj, std::vector<VertexId> adj,
+                      std::vector<Weight> arc_weights,
+                      std::vector<Weight> vertex_weights) {
+  FFP_CHECK(!xadj.empty() && xadj.front() == 0,
+            "xadj must hold n+1 offsets starting at 0");
+  FFP_CHECK(xadj.size() - 1 <=
+                static_cast<std::size_t>(std::numeric_limits<VertexId>::max()),
+            "vertex count exceeds the VertexId range");
+  FFP_CHECK(xadj.back() == static_cast<ArcId>(adj.size()) &&
+                adj.size() == arc_weights.size(),
+            "xadj end ", xadj.back(), ", adj size ", adj.size(),
+            " and weight count ", arc_weights.size(), " disagree");
+  Graph g;
+  g.n_ = static_cast<VertexId>(xadj.size() - 1);
+  g.xadj_ = std::move(xadj);
+  g.adj_ = std::move(adj);
+  g.wgt_ = std::move(arc_weights);
+  g.vwgt_ = std::move(vertex_weights);
+  g.finish();
+  return g;
+}
+
+void Graph::finish() {
+  const auto n = static_cast<std::size_t>(n_);
+  if (vwgt_.empty()) {
+    vwgt_.assign(n, 1.0);
+  } else {
+    FFP_CHECK(vwgt_.size() == n, "vertex_weights size ", vwgt_.size(),
+              " != n ", n_);
+    for (Weight w : vwgt_) FFP_CHECK(w > 0.0, "vertex weight must be > 0");
+  }
+  total_vwgt_ = 0.0;
+  for (Weight w : vwgt_) total_vwgt_ += w;
+
+  wdeg_.assign(n, 0.0);
+  total_ewgt_ = 0.0;
+  max_ewgt_ = 0.0;
+  min_ewgt_ = adj_.empty() ? 0.0 : std::numeric_limits<Weight>::infinity();
+  for (VertexId v = 0; v < n_; ++v) {
+    const ArcId begin = xadj_[static_cast<std::size_t>(v)];
+    const ArcId end = xadj_[static_cast<std::size_t>(v) + 1];
+    FFP_CHECK(begin <= end, "xadj decreases at vertex ", v);
+    for (ArcId a = begin; a < end; ++a) {
+      const VertexId u = adj_[static_cast<std::size_t>(a)];
+      const Weight w = wgt_[static_cast<std::size_t>(a)];
+      FFP_CHECK(u >= 0 && u < n_ && u != v &&
+                    (a == begin || adj_[static_cast<std::size_t>(a) - 1] < u),
+                "row ", v, " is not strictly ascending, in range and "
+                "loop-free at neighbor ", u);
+      FFP_CHECK(w >= 0.0, "negative edge weight on (", v, ",", u, ")");
+      wdeg_[static_cast<std::size_t>(v)] += w;
+      max_ewgt_ = std::max(max_ewgt_, w);
+      min_ewgt_ = std::min(min_ewgt_, w);
+      if (u > v) total_ewgt_ += w;
     }
   }
-  return g;
 }
 
 Weight Graph::edge_weight(VertexId u, VertexId v) const {

@@ -39,6 +39,16 @@ class Graph {
   static Graph from_edges(VertexId n, std::span<const WeightedEdge> edges,
                           std::vector<Weight> vertex_weights = {});
 
+  /// Adopts finished CSR arrays without an edge-list detour: xadj has
+  /// n+1 entries starting at 0, each row of adj is strictly ascending with
+  /// no self loop, weights are >= 0, and vertex_weights is empty (all 1)
+  /// or n entries > 0 (all FFP_CHECKed in the one finishing pass). Every
+  /// arc (v,u,w) must have its mirror (u,v,w): that is the caller's
+  /// contract, not checked here.
+  static Graph from_csr(std::vector<ArcId> xadj, std::vector<VertexId> adj,
+                        std::vector<Weight> arc_weights,
+                        std::vector<Weight> vertex_weights = {});
+
   VertexId num_vertices() const { return n_; }
   /// Number of undirected edges (each counted once).
   std::int64_t num_edges() const { return static_cast<std::int64_t>(adj_.size()) / 2; }
@@ -96,6 +106,10 @@ class Graph {
   void bounds_check([[maybe_unused]] VertexId v) const {
     FFP_DCHECK(v >= 0 && v < n_, "vertex id out of range");
   }
+  /// The one finishing step every constructor ends in: validates the CSR
+  /// and vertex weights, then derives wdeg_ and the totals and extremes in
+  /// a fixed loop order, so graphs built any way are bit-identical.
+  void finish();
 
   VertexId n_ = 0;
   std::vector<ArcId> xadj_;     // size n+1

@@ -36,6 +36,25 @@ bool next_line(std::istream& in, std::string& line, std::int64_t& line_no) {
   return false;
 }
 
+/// Walks one line's whitespace-separated tokens in place.
+struct LineTokens {
+  std::string_view rest;
+
+  /// The next token; empty at the end of the line.
+  std::string_view next() {
+    const auto is_space = [](char c) {
+      return c == ' ' || c == '\t' || c == '\r';
+    };
+    std::size_t i = 0;
+    while (i < rest.size() && is_space(rest[i])) ++i;
+    std::size_t j = i;
+    while (j < rest.size() && !is_space(rest[j])) ++j;
+    const std::string_view token = rest.substr(i, j - i);
+    rest.remove_prefix(j);
+    return token;
+  }
+};
+
 std::ifstream open_in(const std::string& path) {
   std::ifstream in(path);
   FFP_CHECK(in.good(), "cannot open for reading: ", path);
@@ -46,6 +65,57 @@ std::ifstream open_in(const std::string& path) {
 /// lying header must not be able to allocate gigabytes before the parser
 /// discovers the file is ten lines long.
 constexpr std::int64_t kTrustedReserve = 1 << 22;
+
+/// Verifies that every arc of the parsed rows has a mirror arc with an
+/// equal weight, naming both 1-based vertices and their lines otherwise.
+/// Rows are ascending, so a sweep in vertex order meets row u's upper
+/// neighbours in order: a cursor per row, one comparison per arc, and a
+/// tight loop whose independent loads overlap.
+void check_mirrors(std::span<const ArcId> xadj, std::span<const VertexId> adj,
+                   std::span<Weight> wgt,
+                   std::span<const std::int64_t> row_line, bool weighted) {
+  const auto at = [](auto id) { return static_cast<std::size_t>(id); };
+  const auto one_sided = [&](VertexId holder, VertexId missing) {
+    fail(row_line[at(holder)],
+         "vertex " + std::to_string(holder + 1) + " lists " +
+             std::to_string(missing + 1) + " but vertex " +
+             std::to_string(missing + 1) + " (line " +
+             std::to_string(row_line[at(missing)]) + ") does not list " +
+             std::to_string(holder + 1) + " (adjacency must be symmetric)");
+  };
+  const auto n = static_cast<VertexId>(row_line.size());
+  // unmatched[u]: row u's first upper neighbour not yet listed back.
+  std::vector<ArcId> unmatched(at(n));
+  for (VertexId v = 0; v < n; ++v) {
+    ArcId a = xadj[at(v)];
+    for (; a < xadj[at(v) + 1] && adj[at(a)] < v; ++a) {
+      const VertexId u = adj[at(a)];
+      const ArcId mirror = unmatched[at(u)]++;
+      const bool listed = mirror < xadj[at(u) + 1];
+      if (listed && adj[at(mirror)] < v) {
+        one_sided(u, adj[at(mirror)]);  // a row between u and v skipped u
+      }
+      if (!listed || adj[at(mirror)] > v) one_sided(v, u);
+      if (weighted) {
+        if (wgt[at(mirror)] != wgt[at(a)]) {
+          std::ostringstream os;
+          os << std::setprecision(17) << "edge " << u + 1 << "-" << v + 1
+             << " has weight " << wgt[at(mirror)] << " on line "
+             << row_line[at(u)] << " but " << wgt[at(a)]
+             << " here (mirrored weights must be equal)";
+          fail(row_line[at(v)], os.str());
+        }
+        wgt[at(a)] = wgt[at(mirror)];  // the lower row's bits (0.0 vs -0.0)
+      }
+    }
+    unmatched[at(v)] = a;
+  }
+  for (VertexId u = 0; u < n; ++u) {
+    if (unmatched[at(u)] != xadj[at(u) + 1]) {
+      one_sided(u, adj[at(unmatched[at(u)])]);
+    }
+  }
+}
 
 }  // namespace
 
@@ -107,59 +177,66 @@ Graph read_chaco(std::istream& in, const IoLimits& limits) {
     ncon = static_cast<int>(*c);
   }
 
-  std::vector<WeightedEdge> edges;
-  edges.reserve(static_cast<std::size_t>(std::min(m, kTrustedReserve)));
+  if (has_vertex_weights && ncon < 1) {
+    fail(line_no, "invalid ncon field (vertex weights need ncon >= 1)");
+  }
+
+  // Every vertex line is parsed straight into its CSR row. Reservations
+  // trust the header only up to kTrustedReserve; beyond that, growth is
+  // driven by what the file actually holds and capped by `limits`.
+  const std::int64_t arc_cap =
+      limits.edge_cap() > std::numeric_limits<std::int64_t>::max() / 2
+          ? std::numeric_limits<std::int64_t>::max()
+          : 2 * limits.edge_cap();
+  std::vector<ArcId> xadj{0};
+  xadj.reserve(static_cast<std::size_t>(
+      std::min<std::int64_t>(n, kTrustedReserve) + 1));
+  std::vector<VertexId> adj;
+  std::vector<Weight> wgt;
+  adj.reserve(static_cast<std::size_t>(std::min(m, kTrustedReserve / 2) * 2));
+  wgt.reserve(adj.capacity());
   std::vector<Weight> vweights;
   if (has_vertex_weights) {
     vweights.reserve(static_cast<std::size_t>(
         std::min<std::int64_t>(n, kTrustedReserve)));
   }
-  // Epoch stamps for duplicate-neighbor detection: seen[u] == v means u
-  // already appeared on v's line. O(1) per neighbor, one array overall.
-  // Grown on demand (doubling, bounded by n) rather than allocated to the
-  // declared n up front, so a lying header alone cannot trigger a giant
-  // allocation — growth is driven by ids the file actually contains.
-  std::vector<VertexId> seen;
-  const auto seen_slot = [&seen, n](VertexId id) -> VertexId& {
-    const auto needed = static_cast<std::size_t>(id) + 1;
-    if (seen.size() < needed) {
-      auto grown = std::max(needed, seen.size() * 2);
-      grown = std::min(grown, static_cast<std::size_t>(n));
-      seen.resize(grown, -1);
-    }
-    return seen[static_cast<std::size_t>(id)];
-  };
+  std::vector<std::int64_t> row_line;  // for the mirror check's errors
+  row_line.reserve(xadj.capacity());
+  std::vector<std::pair<VertexId, Weight>> unsorted;
 
   for (VertexId v = 0; v < n; ++v) {
     if (!next_line(in, line, line_no)) {
       fail(line_no, "unexpected EOF: expected " + std::to_string(n) +
                         " vertex lines, got " + std::to_string(v));
     }
-    const auto tok = split_ws(line);
-    std::size_t i = 0;
-    if (has_vertex_sizes) ++i;  // accept and ignore vertex size
+    row_line.push_back(line_no);
+    LineTokens tok{line};
+    if (has_vertex_sizes) tok.next();  // accept and ignore vertex size
     if (has_vertex_weights) {
-      if (i + static_cast<std::size_t>(ncon) > tok.size()) {
-        fail(line_no, "missing vertex weight(s)");
-      }
       // Multi-constraint files: use the first weight (ffp is single
       // constraint; documented in the header).
-      const auto w = parse_double(tok[i]);
+      const std::string_view first = tok.next();
+      bool complete = !first.empty();
+      for (int c = 1; c < ncon && complete; ++c) complete = !tok.next().empty();
+      if (!complete) fail(line_no, "missing vertex weight(s)");
+      const auto w = parse_double(first);
       if (!w || !std::isfinite(*w) || *w <= 0) {
         fail(line_no, "invalid vertex weight (must be finite and > 0)");
       }
       vweights.push_back(*w);
-      i += static_cast<std::size_t>(ncon);
     }
-    while (i < tok.size()) {
-      const auto u = parse_int(tok[i++]);
+    const auto row = adj.size();
+    bool ascending = true;
+    for (auto t = tok.next(); !t.empty(); t = tok.next()) {
+      const auto u = parse_int(t);
       if (!u || *u < 1 || *u > n) {
         fail(line_no, "neighbor id out of range (ids are 1-based)");
       }
       Weight w = 1.0;
       if (has_edge_weights) {
-        if (i >= tok.size()) fail(line_no, "missing edge weight");
-        const auto we = parse_double(tok[i++]);
+        const std::string_view t_w = tok.next();
+        if (t_w.empty()) fail(line_no, "missing edge weight");
+        const auto we = parse_double(t_w);
         if (!we || !std::isfinite(*we) || *we < 0) {
           fail(line_no, "invalid edge weight (must be finite and >= 0)");
         }
@@ -170,28 +247,41 @@ Graph read_chaco(std::istream& in, const IoLimits& limits) {
         fail(line_no, "self loop on vertex " + std::to_string(v + 1) +
                           " (1-based)");
       }
-      VertexId& stamp = seen_slot(nb);
-      if (stamp == v) {
-        fail(line_no, "duplicate edge: neighbor " + std::to_string(*u) +
-                          " listed twice for vertex " + std::to_string(v + 1) +
-                          " (1-based)");
+      if (static_cast<std::int64_t>(adj.size()) >= arc_cap) {
+        fail(line_no, "edge limit " + std::to_string(limits.edge_cap()) +
+                          " exceeded");
       }
-      stamp = v;
-      if (nb > v) {  // each edge appears twice; store the forward copy
-        if (static_cast<std::int64_t>(edges.size()) >= limits.edge_cap()) {
-          fail(line_no, "edge limit " + std::to_string(limits.edge_cap()) +
-                            " exceeded");
+      ascending = ascending && (adj.size() == row || adj.back() < nb);
+      adj.push_back(nb);
+      wgt.push_back(w);
+    }
+    if (!ascending) {
+      unsorted.clear();
+      for (auto a = row; a < adj.size(); ++a) {
+        unsorted.emplace_back(adj[a], wgt[a]);
+      }
+      std::sort(unsorted.begin(), unsorted.end());
+      for (std::size_t i = 0; i < unsorted.size(); ++i) {
+        if (i > 0 && unsorted[i].first == unsorted[i - 1].first) {
+          fail(line_no, "duplicate edge: neighbor " +
+                            std::to_string(unsorted[i].first + 1) +
+                            " listed twice for vertex " +
+                            std::to_string(v + 1) + " (1-based)");
         }
-        edges.push_back({v, nb, w});
+        adj[row + i] = unsorted[i].first;
+        wgt[row + i] = unsorted[i].second;
       }
     }
+    xadj.push_back(static_cast<ArcId>(adj.size()));
   }
+  check_mirrors(xadj, adj, wgt, row_line, has_edge_weights);
 
-  if (static_cast<std::int64_t>(edges.size()) != m) {
+  if (static_cast<std::int64_t>(adj.size()) / 2 != m) {
     fail(line_no, "header declared " + std::to_string(m) + " edges, found " +
-                      std::to_string(edges.size()));
+                      std::to_string(adj.size() / 2));
   }
-  return Graph::from_edges(n, edges, std::move(vweights));
+  return Graph::from_csr(std::move(xadj), std::move(adj), std::move(wgt),
+                         std::move(vweights));
 }
 
 Graph read_chaco_file(const std::string& path, const IoLimits& limits) {

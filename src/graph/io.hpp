@@ -15,8 +15,10 @@
 // whatever a client names): header counts are range-checked before any
 // allocation, weights must be finite and positive where required,
 // duplicate neighbor entries and self loops are rejected with the
-// offending vertex named, and `IoLimits` lets a service cap instance size
-// so a hostile header cannot trigger a giant allocation.
+// offending vertex named, a Chaco edge listed by only one endpoint (or
+// with unequal mirrored weights) is rejected with both endpoints and
+// their lines named, and `IoLimits` lets a service cap instance size so a
+// hostile header cannot trigger a giant allocation.
 #pragma once
 
 #include <cstdint>

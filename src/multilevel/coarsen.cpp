@@ -1,6 +1,6 @@
 #include "multilevel/coarsen.hpp"
 
-#include <unordered_map>
+#include <algorithm>
 
 namespace ffp {
 
@@ -28,27 +28,91 @@ CoarseLevel contract_matching(const Graph& g, std::span<const VertexId> match) {
   }
 
   // Combine fine edges into coarse edges, summing weights of parallels.
-  std::unordered_map<std::int64_t, Weight> acc;
-  acc.reserve(static_cast<std::size_t>(g.num_edges()));
+  // A fine edge {v,u} (v < u) whose ends have distinct images contributes
+  // once to the coarse edge {lo, hi}. Pass 1 buckets the contributions by
+  // lo, stably in fine visit order; pass 2 sums each bucket in a dense
+  // epoch-stamped accumulator. Every coarse edge weight is thus summed in
+  // fine visit order, a fixed order, so even non-integer weights contract
+  // to the same bits every time.
+  const auto nc = static_cast<std::size_t>(next);
+  const auto coarse_of = [&level](VertexId v) {
+    return static_cast<std::size_t>(
+        level.fine_to_coarse[static_cast<std::size_t>(v)]);
+  };
+  std::vector<ArcId> bucket(nc + 1, 0);
   for (VertexId v = 0; v < n; ++v) {
-    const VertexId cv = level.fine_to_coarse[static_cast<std::size_t>(v)];
-    const auto nbrs = g.neighbors(v);
-    const auto ws = g.neighbor_weights(v);
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      const VertexId cu = level.fine_to_coarse[static_cast<std::size_t>(nbrs[i])];
-      if (cu == cv || nbrs[i] < v) continue;  // self-loop or already counted
-      const std::int64_t key =
-          static_cast<std::int64_t>(std::min(cv, cu)) * next + std::max(cv, cu);
-      acc[key] += ws[i];
+    for (const VertexId u : g.neighbors(v)) {
+      if (u > v && coarse_of(u) != coarse_of(v)) {
+        ++bucket[std::min(coarse_of(u), coarse_of(v)) + 1];
+      }
     }
   }
-  std::vector<WeightedEdge> edges;
-  edges.reserve(acc.size());
-  for (const auto& [key, w] : acc) {
-    edges.push_back({static_cast<VertexId>(key / next),
-                     static_cast<VertexId>(key % next), w});
+  for (std::size_t c = 0; c < nc; ++c) bucket[c + 1] += bucket[c];
+  std::vector<VertexId> hi(static_cast<std::size_t>(bucket[nc]));
+  std::vector<Weight> w(hi.size());
+  std::vector<ArcId> cursor(bucket.begin(), bucket.end() - 1);
+  for (VertexId v = 0; v < n; ++v) {
+    const auto nbrs = g.neighbors(v);
+    const auto ws = g.neighbor_weights(v);
+    const std::size_t cv = coarse_of(v);
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      const std::size_t cu = coarse_of(nbrs[i]);
+      if (nbrs[i] < v || cu == cv) continue;
+      const auto slot = static_cast<std::size_t>(cursor[std::min(cv, cu)]++);
+      hi[slot] = static_cast<VertexId>(std::max(cv, cu));
+      w[slot] = ws[i];
+    }
   }
-  level.coarse = Graph::from_edges(next, edges, std::move(cvw));
+
+  // Pass 2: bucket lo collapses in place to its distinct upper neighbours,
+  // sorted, with their summed weights. upper[lo] counts them; xadj[c + 1]
+  // gathers each coarse degree.
+  std::vector<ArcId> xadj(nc + 1, 0);
+  std::vector<ArcId> upper(nc, 0);
+  {
+    std::vector<Weight> acc(nc);
+    std::vector<std::size_t> stamp(nc, nc);
+    for (std::size_t lo = 0; lo < nc; ++lo) {
+      const auto begin = static_cast<std::size_t>(bucket[lo]);
+      std::size_t end = begin;
+      for (auto a = begin; a < static_cast<std::size_t>(bucket[lo + 1]); ++a) {
+        const auto c = static_cast<std::size_t>(hi[a]);
+        if (stamp[c] != lo) {
+          stamp[c] = lo;
+          acc[c] = 0.0;
+          hi[end++] = hi[a];
+          ++xadj[c + 1];
+        }
+        acc[c] += w[a];
+      }
+      std::sort(hi.begin() + static_cast<std::ptrdiff_t>(begin),
+                hi.begin() + static_cast<std::ptrdiff_t>(end));
+      for (auto a = begin; a < end; ++a) {
+        w[a] = acc[static_cast<std::size_t>(hi[a])];
+      }
+      upper[lo] = static_cast<ArcId>(end - begin);
+      xadj[lo + 1] += upper[lo];
+    }
+  }
+  for (std::size_t c = 0; c < nc; ++c) xadj[c + 1] += xadj[c];
+
+  // Pass 3: row c receives its lower neighbours (from earlier lo) before
+  // its own sorted upper ones, so every row comes out ascending.
+  std::vector<VertexId> adj(static_cast<std::size_t>(xadj[nc]));
+  std::vector<Weight> wgt(adj.size());
+  cursor.assign(xadj.begin(), xadj.end() - 1);
+  for (std::size_t lo = 0; lo < nc; ++lo) {
+    for (ArcId a = bucket[lo]; a < bucket[lo] + upper[lo]; ++a) {
+      const auto up = static_cast<std::size_t>(hi[static_cast<std::size_t>(a)]);
+      const auto lo_arc = static_cast<std::size_t>(cursor[lo]++);
+      const auto up_arc = static_cast<std::size_t>(cursor[up]++);
+      adj[lo_arc] = static_cast<VertexId>(up);
+      adj[up_arc] = static_cast<VertexId>(lo);
+      wgt[lo_arc] = wgt[up_arc] = w[static_cast<std::size_t>(a)];
+    }
+  }
+  level.coarse = Graph::from_csr(std::move(xadj), std::move(adj),
+                                 std::move(wgt), std::move(cvw));
   return level;
 }
 

@@ -131,22 +131,6 @@ MlffResult mlff_partition(const Graph& g, int k, const MlffOptions& options,
   const std::vector<CoarseLevel> chain = coarsen_chain(g, copt);
   const Graph& coarse = chain.empty() ? g : chain.back().coarse;
 
-  // Projects a coarsest-level assignment up the whole chain to an
-  // input-graph assignment (no refinement — checkpoints trade polish for
-  // immediacy; the refined version lands with the final emit).
-  const auto project_to_fine = [&chain](const std::vector<int>& at_coarse) {
-    std::vector<int> cur = at_coarse;
-    for (std::size_t l = chain.size(); l-- > 0;) {
-      const auto& map = chain[l].fine_to_coarse;
-      std::vector<int> fine(map.size());
-      for (std::size_t v = 0; v < map.size(); ++v) {
-        fine[v] = cur[static_cast<std::size_t>(map[v])];
-      }
-      cur = std::move(fine);
-    }
-    return cur;
-  };
-
   // Warm start: project the restored input-graph assignment DOWN the
   // chain — each coarse vertex takes the part of its first (lowest-id)
   // fine constituent, which is deterministic and cheap. Parts can merge
@@ -189,7 +173,10 @@ MlffResult mlff_partition(const Graph& g, int k, const MlffOptions& options,
   std::function<void(const std::vector<int>&, double)> coarse_sink;
   if (options.checkpoint_sink != nullptr && options.checkpoint_every_ms > 0) {
     coarse_sink = [&](const std::vector<int>& at_coarse, double) {
-      const std::vector<int> fine = project_to_fine(at_coarse);
+      // Projected without refinement: checkpoints trade polish for
+      // immediacy; the refined version lands with the final emit.
+      const std::vector<int> fine =
+          project_partition(chain, chain.size(), at_coarse);
       const double fine_value =
           objective(options.objective)
               .evaluate(Partition::from_assignment(g, fine, k));

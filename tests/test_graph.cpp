@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 namespace ffp {
@@ -136,6 +137,35 @@ TEST(Graph, CsrViewsConsistent) {
   EXPECT_EQ(xadj[3], 6);
   EXPECT_EQ(g.adj().size(), 6u);
   EXPECT_EQ(g.arc_weights().size(), 6u);
+}
+
+TEST(Graph, FromCsrMatchesFromEdges) {
+  const Graph a = triangle();
+  const Graph b = Graph::from_csr({0, 2, 4, 6}, {1, 2, 0, 2, 0, 1},
+                                  {1.0, 3.0, 1.0, 2.0, 3.0, 2.0});
+  EXPECT_TRUE(std::ranges::equal(a.xadj(), b.xadj()));
+  EXPECT_TRUE(std::ranges::equal(a.adj(), b.adj()));
+  EXPECT_TRUE(std::ranges::equal(a.arc_weights(), b.arc_weights()));
+  for (VertexId v = 0; v < 3; ++v) {
+    EXPECT_EQ(a.weighted_degree(v), b.weighted_degree(v));
+    EXPECT_EQ(a.vertex_weight(v), b.vertex_weight(v));
+  }
+  EXPECT_EQ(a.total_edge_weight(), b.total_edge_weight());
+  EXPECT_EQ(a.min_edge_weight(), b.min_edge_weight());
+  EXPECT_EQ(a.max_edge_weight(), b.max_edge_weight());
+}
+
+TEST(Graph, FromCsrRejectsMalformedArrays) {
+  const std::vector<Weight> w2 = {1.0, 1.0};
+  EXPECT_THROW(Graph::from_csr({}, {}, {}), Error);
+  EXPECT_THROW(Graph::from_csr({0, 1, 2}, {1, 0}, {1.0}), Error);  // sizes
+  EXPECT_THROW(Graph::from_csr({0, 2, 1}, {1, 0}, w2), Error);     // xadj
+  EXPECT_THROW(Graph::from_csr({0, 1, 2}, {0, 0}, w2), Error);     // loop
+  EXPECT_THROW(Graph::from_csr({0, 1, 2}, {2, 0}, w2), Error);     // range
+  EXPECT_THROW(Graph::from_csr({0, 2, 2, 2}, {2, 1}, w2), Error);  // order
+  EXPECT_THROW(Graph::from_csr({0, 1, 2}, {1, 0}, {-1.0, -1.0}), Error);
+  EXPECT_THROW(Graph::from_csr({0, 1, 2}, {1, 0}, w2, {1.0}), Error);
+  EXPECT_NO_THROW(Graph::from_csr({0, 1, 2}, {1, 0}, w2, {2.0, 0.5}));
 }
 
 TEST(Graph, SummaryMentionsCounts) {

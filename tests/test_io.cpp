@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "graph/generators.hpp"
@@ -157,6 +158,63 @@ TEST(ChacoIo, SelfLoopErrorNamesTheVertex) {
     EXPECT_NE(std::string(e.what()).find("self loop on vertex 1"),
               std::string::npos);
   }
+}
+
+/// The message read_chaco throws on `text`, or "" when it accepts it.
+std::string chaco_error(const std::string& text) {
+  std::istringstream in(text);
+  try {
+    read_chaco(in);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ChacoIo, ErrorOnEdgeListedOnlyByLowerVertex) {
+  // Vertex 1 lists 2, but vertex 2's line is empty.
+  const auto msg = chaco_error("3 1\n2\n\n\n");
+  EXPECT_NE(msg.find("line 2"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("vertex 1 lists 2 but vertex 2 (line 3) does not list 1"),
+            std::string::npos)
+      << msg;
+}
+
+TEST(ChacoIo, ErrorOnEdgeListedOnlyByUpperVertex) {
+  // Vertex 2 lists 1, but vertex 1's line is empty.
+  const auto msg = chaco_error("3 1\n\n1\n\n");
+  EXPECT_NE(msg.find("line 3"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("vertex 2 lists 1 but vertex 1 (line 2) does not list 2"),
+            std::string::npos)
+      << msg;
+}
+
+TEST(ChacoIo, ErrorOnUnequalMirroredEdgeWeights) {
+  const auto msg = chaco_error("2 1 1\n2 3\n1 4\n");
+  EXPECT_NE(msg.find("line 3"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("edge 1-2 has weight 3 on line 2 but 4 here"),
+            std::string::npos)
+      << msg;
+}
+
+TEST(ChacoIo, ErrorOnSkippedMirrorBetweenRows) {
+  // Vertex 1 lists 2 and 3; vertex 2 omits 1, which surfaces when vertex
+  // 3 is matched against vertex 1's row.
+  const auto msg = chaco_error("3 2\n2 3\n\n1\n");
+  EXPECT_NE(msg.find("vertex 1 lists 2 but vertex 2 (line 3) does not list 1"),
+            std::string::npos)
+      << msg;
+}
+
+TEST(ChacoIo, UnsortedRowsReadLikeSortedOnes) {
+  std::istringstream sorted("3 3 1\n2 0.5 3 1.5\n1 0.5 3 2.5\n1 1.5 2 2.5\n");
+  std::istringstream shuffled(
+      "3 3 1\n3 1.5 2 0.5\n3 2.5 1 0.5\n2 2.5 1 1.5\n");
+  const auto a = read_chaco(sorted);
+  const auto b = read_chaco(shuffled);
+  EXPECT_TRUE(std::ranges::equal(a.adj(), b.adj()));
+  EXPECT_TRUE(std::ranges::equal(a.arc_weights(), b.arc_weights()));
+  EXPECT_DOUBLE_EQ(b.edge_weight(2, 1), 2.5);
 }
 
 TEST(ChacoIo, RoundTripUnweighted) {
