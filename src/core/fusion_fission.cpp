@@ -9,8 +9,9 @@
 #include "metaheuristics/percolation.hpp"
 #include "partition/objective_terms.hpp"
 #include "partition/part_scratch.hpp"
-#include "solver/worker_pool.hpp"  // leased_worker_pool (budget-governed runs)
+#include "runtime/thread_budget.hpp"
 #include "util/check.hpp"
+#include "util/parallel.hpp"
 
 namespace ffp {
 
@@ -429,31 +430,18 @@ void FusionFission::run_batched(State& s, const StopCondition& stop,
                                 AnytimeRecorder* recorder) {
   const int batch_size =
       options_.batch >= 1 ? options_.batch : kDefaultFusionFissionBatch;
-  const auto workers = static_cast<unsigned>(std::max(1, options_.threads));
-  // Declared before the pool so the slots return only after the pool's
-  // threads are joined — the budget never reads free while leased workers
-  // still run.
-  WorkerLease lease;
-  std::shared_ptr<ThreadPool> pool = options_.pool;
-  // Under a leased pool the calling thread doubles as a speculation lane:
-  // one pool worker per granted slot plus the caller, whose own thread is
-  // accounted by whatever level invoked this run. That keeps ThreadBudget
-  // books exact even when leases nest (portfolio restart → engine), while
-  // an injected or ungoverned pool keeps the historical caller-waits shape.
-  bool caller_lane = false;
-  if (pool == nullptr && workers > 1) {
-    if (options_.budget != nullptr) {
-      // Governed run: `threads` is a want — take whatever is free beyond
-      // this calling thread (a 0 grant runs speculation inline). The
-      // schedule, and thus the partition, is fixed by threads/batch alone,
-      // so the grant only moves latency.
-      lease = options_.budget->lease(workers - 1);
-      pool = leased_worker_pool(lease);
-      caller_lane = true;
-    } else {
-      pool = std::make_shared<ThreadPool>(workers);
-    }
-  }
+  const auto threads = static_cast<unsigned>(std::max(1, options_.threads));
+  // `threads` is a want: lease what is free beyond this calling thread,
+  // which runs speculation lane 0 and is accounted by whatever level invoked
+  // this run, so the budget's books stay exact when leases nest (portfolio
+  // restart → engine). A 0 grant speculates inline. The schedule, and thus
+  // the partition, is fixed by threads/batch alone; the grant only moves
+  // latency. The lease is declared before the pool, so its slots return
+  // only after the pool's threads are joined.
+  const WorkerLease lease =
+      ThreadBudget::or_process(options_.budget).lease(threads - 1);
+  std::optional<ThreadPool> pool;
+  if (lease.granted() > 0) pool.emplace(lease.granted());
 
   const double t_step =
       (options_.tmax - options_.tmin) / static_cast<double>(options_.nbt);
@@ -524,23 +512,29 @@ void FusionFission::run_batched(State& s, const StopCondition& stop,
     const auto speculate = [&frozen, &plan_op](BatchOp& op) {
       plan_op(frozen, op);
     };
-    if (pool != nullptr && n_ops > 1) {
-      TaskGroup group(*pool);
-      const std::size_t lanes = std::min<std::size_t>(
-          pool->size() + (caller_lane ? 1 : 0), n_ops);
+    if (pool.has_value() && n_ops > 1) {
+      const std::size_t lanes = std::min<std::size_t>(pool->size() + 1, n_ops);
       // Lane → ops assignment is fixed by index alone, so which thread
       // (pool worker or the caller) runs a lane can never change results.
-      for (std::size_t lane = caller_lane ? 1 : 0; lane < lanes; ++lane) {
-        group.submit([&ops, &speculate, lane, lanes, n_ops] {
+      for (std::size_t lane = 1; lane < lanes; ++lane) {
+        pool->submit([&ops, &speculate, lane, lanes, n_ops] {
           for (std::size_t i = lane; i < n_ops; i += lanes) {
             speculate(ops[i]);
           }
         });
       }
-      if (caller_lane) {
+      // The pool's lanes read `ops` and `speculate`: join them before an
+      // exception from lane 0 can unwind either.
+      try {
         for (std::size_t i = 0; i < n_ops; i += lanes) speculate(ops[i]);
+      } catch (...) {
+        try {
+          pool->wait_idle();
+        } catch (...) {
+        }
+        throw;
       }
-      group.wait();
+      pool->wait_idle();
     } else {
       for (std::size_t i = 0; i < n_ops; ++i) speculate(ops[i]);
     }

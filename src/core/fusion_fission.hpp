@@ -83,7 +83,6 @@
 #include "partition/objectives.hpp"
 #include "partition/partition.hpp"
 #include "runtime/thread_budget.hpp"
-#include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
@@ -127,16 +126,14 @@ struct FusionFissionOptions {
   // also selects the batched engine.
   int threads = 0;
   int batch = 0;  ///< candidate atoms per batch; 0 = kDefaultFusionFissionBatch
-  /// Optional shared worker pool (solver/worker_pool.hpp). When null and
-  /// threads > 1, run() creates a private pool for the run.
-  std::shared_ptr<ThreadPool> pool;
-  /// Optional process-wide governor (runtime/thread_budget.hpp). When set
-  /// and no pool was injected, the run *leases* its speculation workers:
-  /// `threads` becomes a want, the pool is sized to the grant (possibly
-  /// inline-only), and the slots return when the run ends. `threads` and
-  /// `batch` alone still fix the schedule, so the result stays
-  /// byte-identical whatever the grant. This is how the engine composes
-  /// with portfolio restarts and service jobs without oversubscribing.
+  /// Worker governor (runtime/thread_budget.hpp); null means
+  /// ThreadBudget::process(). The batched engine *leases* its speculation
+  /// workers: `threads` is a want, the run's private pool is sized to the
+  /// grant (possibly 0: inline only), the calling thread runs lane 0, and
+  /// the slots return when the run ends. `threads` and `batch` alone fix
+  /// the schedule, so the result is byte-identical whatever the grant.
+  /// This is how the engine composes with portfolio restarts and service
+  /// jobs without oversubscribing.
   ThreadBudget* budget = nullptr;
 
   std::uint64_t seed = 17;

@@ -191,7 +191,6 @@ MlffResult mlff_partition(const Graph& g, int k, const MlffOptions& options,
   ffopt.objective = options.objective;
   ffopt.threads = options.threads;
   ffopt.batch = options.batch;
-  ffopt.pool = options.pool;
   ffopt.budget = options.budget;
   ffopt.seed = ff_seed;
   ffopt.warm_start = coarse_warm;

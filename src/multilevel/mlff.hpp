@@ -49,8 +49,7 @@ struct MlffOptions {
   /// the batched engine, byte-identical across all threads >= 1.
   int threads = 0;
   int batch = 0;
-  std::shared_ptr<ThreadPool> pool;
-  ThreadBudget* budget = nullptr;
+  ThreadBudget* budget = nullptr;  ///< null = ThreadBudget::process()
 
   std::uint64_t seed = 2006;
 

@@ -50,8 +50,7 @@ std::vector<AnytimeRecorder::Point> JobScheduler::ProgressRecorder::snapshot()
 
 JobScheduler::JobScheduler(JobSchedulerOptions options)
     : options_(std::move(options)),
-      budget_(options_.budget != nullptr ? options_.budget
-                                         : &ThreadBudget::process()) {
+      budget_(&ThreadBudget::or_process(options_.budget)) {
   const unsigned runners = std::max(1u, options_.runners);
   runners_.reserve(runners);
   for (unsigned i = 0; i < runners; ++i) {

@@ -16,12 +16,18 @@
 // portfolio restart that leases speculation workers from inside a leased
 // portfolio slot can never wait on capacity its own ancestors hold.
 //
+// One rule for every parallel layer: a null budget pointer means
+// process() (or_process()), and a run's pool is private and sized to its
+// grant.
+//
 // Accounting model: a lease covers *worker threads doing work*. The
-// calling thread itself is not counted — it either blocks waiting for its
-// workers (portfolio, batched engine) or is itself covered by its parent's
-// lease (a scheduler runner executing a solve). So a budget of B bounds
-// the number of runnable leased workers at B; `peak_in_use()` records the
-// high-water mark, which the service tests assert never exceeds `total()`.
+// calling thread itself is not counted — it blocks waiting for its
+// workers (portfolio) or runs lane 0 of the work (batched engine), and is
+// either the entry thread or covered by its parent's lease (a restart
+// worker, or a scheduler runner executing a solve). So a budget of B
+// bounds the number of runnable leased workers at B; `peak_in_use()`
+// records the high-water mark, which the service tests assert never
+// exceeds `total()`.
 #pragma once
 
 #include <condition_variable>
@@ -102,6 +108,11 @@ class ThreadBudget {
   /// to hardware concurrency; resize it once at startup (before any lease)
   /// with set_process_total().
   static ThreadBudget& process();
+  /// The rule every parallel layer follows: `budget`, or process() when
+  /// it is null.
+  static ThreadBudget& or_process(ThreadBudget* budget) {
+    return budget != nullptr ? *budget : process();
+  }
   /// Re-sizes the process budget. FFP_CHECKs that nothing is leased.
   static void set_process_total(unsigned total);
 

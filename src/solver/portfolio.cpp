@@ -77,22 +77,19 @@ SolverResult PortfolioRunner::run(const Graph& g,
       static_cast<std::size_t>(restarts));
   unsigned pool_size = 0;
   {
-    // More workers than restarts would only idle; cap the want. Under a
-    // budget every restart worker holds a leased slot — the calling
-    // thread only blocks, so it is not counted and transfers nothing (the
-    // leaf engines inside the restarts lease their own slots from the
-    // same governor via request.budget, which is what keeps the whole
-    // nest within one machine-wide cap). A fully contended 0 grant falls
-    // back to one unleased worker: the entry thread's own concurrency.
+    // More workers than restarts would only idle; cap the want. Every
+    // restart worker holds a leased slot — the calling thread only blocks,
+    // so it is not counted (the leaf engines inside the restarts lease
+    // their own slots via request.budget, which keeps the whole nest
+    // within one machine-wide cap). A fully contended 0 grant falls back
+    // to one unleased worker: the entry thread's own concurrency.
     unsigned want = options_.threads == 0
                         ? std::max(1u, std::thread::hardware_concurrency())
                         : options_.threads;
     want = std::min(want, static_cast<unsigned>(restarts));
-    WorkerLease lease;
-    if (options_.budget != nullptr) {
-      lease = options_.budget->lease(want);
-      want = std::max(1u, lease.granted());
-    }
+    const WorkerLease lease =
+        ThreadBudget::or_process(options_.budget).lease(want);
+    want = std::max(1u, lease.granted());
     ThreadPool pool(want);
     pool_size = pool.size();
     parallel_for(pool, restarts, [&](std::int64_t i) {

@@ -29,13 +29,14 @@ namespace ffp {
 struct PortfolioOptions {
   int restarts = 1;
   unsigned threads = 0;  ///< 0 → hardware concurrency
-  /// Process-wide governor (runtime/thread_budget.hpp). When set, the
-  /// restart workers are *leased*: the runner takes min(threads, restarts)
-  /// − 1 extra workers beyond its calling thread, or fewer when the budget
-  /// is contended, and each restart's solver leases its own intra-run
-  /// workers from what remains (the request's `budget` field carries the
-  /// same governor down). Restarts × intra-run threads can therefore never
-  /// exceed the budget. Null keeps the historical fixed-size pool.
+  /// Worker governor (runtime/thread_budget.hpp); null means
+  /// ThreadBudget::process(). The restart workers are *leased*: the runner
+  /// takes min(threads, restarts) workers, or fewer when the budget is
+  /// contended (at least one, run unleased, when nothing is free), and
+  /// each restart's solver leases its own intra-run workers from what
+  /// remains of the governor the request's `budget` field names. With both
+  /// set to the same governor (or both null), restarts × intra-run threads
+  /// can never exceed it.
   ThreadBudget* budget = nullptr;
   /// Per-restart request customization (the evolve layer's seeding hook):
   /// called on the restart's WORKER thread, after the stream seed is set,

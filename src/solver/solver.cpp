@@ -1,7 +1,6 @@
 #include "solver/solver.hpp"
 
 #include "refine/kway_fm.hpp"
-#include "solver/worker_pool.hpp"
 #include "util/rng.hpp"
 
 namespace ffp {
@@ -43,15 +42,6 @@ SolverResult FusionFissionSolver::run(const Graph& g,
   opt.checkpoint_sink = request.checkpoint_sink;
   if (request.threads > 0) opt.threads = static_cast<int>(request.threads);
   if (opt.budget == nullptr) opt.budget = request.budget;
-  if (opt.threads > 1 && opt.pool == nullptr && opt.budget == nullptr) {
-    // Ungoverned: speculation workers come from the process-wide shared
-    // pool so repeated solves (and concurrent portfolio restarts) reuse
-    // warm threads instead of spawning per run. Budget-governed runs skip
-    // this — the engine leases its own exactly-sized private pool inside
-    // run_batched, because a size-keyed shared pool cannot match lease
-    // accounting (equal grants would share threads).
-    opt.pool = shared_worker_pool(static_cast<unsigned>(opt.threads));
-  }
   WallTimer timer;
   const StopCondition stop = armed(request);
   FusionFission ff(g, request.k, opt);
@@ -85,11 +75,6 @@ SolverResult MlffSolver::run(const Graph& g,
   opt.checkpoint_sink = request.checkpoint_sink;
   if (request.threads > 0) opt.threads = static_cast<int>(request.threads);
   if (opt.budget == nullptr) opt.budget = request.budget;
-  if (opt.threads > 1 && opt.pool == nullptr && opt.budget == nullptr) {
-    // Same pool policy as FusionFissionSolver: ungoverned runs speculate on
-    // the process-wide shared pool, governed runs lease inside the engine.
-    opt.pool = shared_worker_pool(static_cast<unsigned>(opt.threads));
-  }
   WallTimer timer;
   const StopCondition stop = armed(request);
   auto res = mlff_partition(g, request.k, opt, stop, request.recorder);

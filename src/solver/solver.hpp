@@ -52,14 +52,14 @@ struct SolverRequest {
   /// Worker threads the solver may use INSIDE one run (fusion-fission's
   /// batched engine; solvers without intra-run parallelism ignore it).
   /// 0 keeps the solver's own default. Distinct from portfolio threads,
-  /// which parallelize across restarts — the two levels never share a
-  /// pool (see solver/worker_pool.hpp).
+  /// which parallelize across restarts; each level builds its own private
+  /// pool from what it leased.
   unsigned threads = 0;
-  /// Process-wide worker governor (runtime/thread_budget.hpp). When set,
-  /// `threads` becomes a *want*: the solver leases min(threads−1, free)
-  /// extra workers beyond its own calling thread and degrades gracefully
-  /// to fewer lanes — never changing the result, only where phase work
-  /// runs. Null keeps the historical fixed-size-pool behavior.
+  /// Worker governor (runtime/thread_budget.hpp); null means
+  /// ThreadBudget::process(). `threads` is a *want*: the solver leases
+  /// min(threads−1, free) workers, its calling thread runs lane 0, and it
+  /// degrades gracefully to fewer lanes — never changing the result, only
+  /// where phase work runs.
   ThreadBudget* budget = nullptr;
   // Durable-solve hooks (persist/), honored by the anytime-capable
   // fusion-fission and mlff adapters and ignored by the rest. See

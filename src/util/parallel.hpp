@@ -1,20 +1,21 @@
-// Minimal thread pool for coarse-grained parallel work: independent
-// portfolio restarts, parameter sweeps, and the fusion-fission batched
-// engine's speculative phase (core/fusion_fission). Every parallel consumer
-// in the repo is structured so results never depend on scheduling — tasks
-// write to disjoint slots and all cross-task ordering happens on the
-// submitting thread.
+// Minimal thread pool for coarse-grained parallel work: portfolio
+// restarts (solver/portfolio) and the fusion-fission batched engine's
+// speculative phase (core/fusion_fission). Every parallel consumer in the
+// repo is structured so results never depend on scheduling — tasks write
+// to disjoint slots and all cross-task ordering happens on the submitting
+// thread.
 //
-// Pools can be shared between independent clients (solver/worker_pool.hpp
-// hands out process-wide pools); clients that share a pool must wait
-// through a TaskGroup, which tracks only its own submissions, and must
-// never block on the pool from inside one of its tasks.
+// A pool has exactly one client: each run builds a private pool sized to
+// the workers it leased from a ThreadBudget (runtime/thread_budget.hpp;
+// a null budget means ThreadBudget::process()) and joins it with
+// wait_idle(). Tasks must never block on their own pool.
 #pragma once
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <queue>
 #include <thread>
@@ -108,8 +109,6 @@ class ThreadPool {
 };
 
 /// Run fn(i) for i in [0, n) across the pool's threads; blocks until done.
-/// Only for pools with a single client — wait_idle() joins on EVERY
-/// outstanding task; on a shared pool use a TaskGroup instead.
 template <typename Fn>
 void parallel_for(ThreadPool& pool, std::int64_t n, Fn&& fn) {
   for (std::int64_t i = 0; i < n; ++i) {
@@ -117,70 +116,5 @@ void parallel_for(ThreadPool& pool, std::int64_t n, Fn&& fn) {
   }
   pool.wait_idle();
 }
-
-/// A completion scope over a subset of a pool's tasks: submit() wraps each
-/// task with the group's own counter, so wait() joins exactly this group's
-/// work even when other clients keep the same pool busy — what lets one
-/// ThreadPool be shared by concurrent portfolio restarts that each run a
-/// batched fusion-fission engine inside.
-///
-/// The first exception thrown by a task in the group is rethrown from
-/// wait(). Tasks must not wait on the pool themselves (deadlock).
-class TaskGroup {
- public:
-  explicit TaskGroup(ThreadPool& pool)
-      : pool_(&pool), state_(std::make_shared<State>()) {}
-
-  TaskGroup(const TaskGroup&) = delete;
-  TaskGroup& operator=(const TaskGroup&) = delete;
-
-  /// Waits for stragglers so the shared state never outlives its tasks'
-  /// captured references. Prefer calling wait() explicitly (the destructor
-  /// swallows task exceptions).
-  ~TaskGroup() {
-    std::unique_lock lock(state_->mu);
-    state_->cv.wait(lock, [this] { return state_->outstanding == 0; });
-  }
-
-  void submit(std::function<void()> task) {
-    {
-      std::lock_guard lock(state_->mu);
-      ++state_->outstanding;
-    }
-    pool_->submit([state = state_, task = std::move(task)] {
-      try {
-        task();
-      } catch (...) {
-        std::lock_guard lock(state->mu);
-        if (!state->first_error) state->first_error = std::current_exception();
-      }
-      std::lock_guard lock(state->mu);
-      if (--state->outstanding == 0) state->cv.notify_all();
-    });
-  }
-
-  /// Blocks until every task submitted through THIS group has finished;
-  /// rethrows the first task exception (once).
-  void wait() {
-    std::unique_lock lock(state_->mu);
-    state_->cv.wait(lock, [this] { return state_->outstanding == 0; });
-    if (state_->first_error) {
-      auto e = state_->first_error;
-      state_->first_error = nullptr;
-      std::rethrow_exception(e);
-    }
-  }
-
- private:
-  struct State {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::int64_t outstanding = 0;
-    std::exception_ptr first_error;
-  };
-
-  ThreadPool* pool_;
-  std::shared_ptr<State> state_;
-};
 
 }  // namespace ffp

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <set>
 
+#include "runtime/thread_budget.hpp"
 #include "solver/registry.hpp"
 #include "test_support.hpp"
 
@@ -114,7 +115,12 @@ TEST(Portfolio, MixedSolversRoundRobin) {
 }
 
 TEST(Portfolio, StatsReportConfiguration) {
-  const auto team = PortfolioRunner(make_solver("percolation"), {3, 2})
+  // An explicit budget with room for both workers: `threads` reports the
+  // grant, which under the process budget would depend on the host.
+  ThreadBudget budget(2);
+  PortfolioOptions options{3, 2};
+  options.budget = &budget;
+  const auto team = PortfolioRunner(make_solver("percolation"), options)
                         .run(grid(), step_request());
   EXPECT_DOUBLE_EQ(team.stat("restarts"), 3.0);
   EXPECT_DOUBLE_EQ(team.stat("threads"), 2.0);
@@ -136,6 +142,75 @@ TEST(Portfolio, SharedRecorderIsMonotoneBestSoFar) {
   }
   // The merged trajectory ends at the portfolio's winning value.
   EXPECT_DOUBLE_EQ(recorder.points().back().best_value, team.best_value);
+}
+
+/// Samples the process budget at every improvement, i.e. while the run
+/// that reports it still holds its leases. Calls arrive serialized (the
+/// portfolio merges restarts under a lock; a bare run records on its
+/// calling thread).
+class ProcessInUseProbe final : public AnytimeRecorder {
+ public:
+  void record(double best_value) override {
+    AnytimeRecorder::record(best_value);
+    max_in_use = std::max(max_in_use, ThreadBudget::process().in_use());
+  }
+  unsigned max_in_use = 0;
+};
+
+void expect_process_budget_used_and_returned(const ProcessInUseProbe& probe) {
+  const ThreadBudget& process = ThreadBudget::process();
+  EXPECT_GT(probe.max_in_use, 0u);
+  EXPECT_LE(probe.max_in_use, process.total());
+  EXPECT_GT(process.peak_in_use(), 0u);
+  EXPECT_LE(process.peak_in_use(), process.total());
+  EXPECT_EQ(process.in_use(), 0u);
+}
+
+/// Solver and engine results alike: bitwise-equal best value and partition.
+template <typename Result>
+void expect_same_best(const Result& a, const Result& b) {
+  EXPECT_EQ(a.best_value, b.best_value);
+  EXPECT_TRUE(std::equal(a.best.assignment().begin(),
+                         a.best.assignment().end(),
+                         b.best.assignment().begin(),
+                         b.best.assignment().end()));
+}
+
+TEST(Portfolio, UngovernedNestedSolveLeasesFromTheProcessBudget) {
+  // No budget anywhere: the restart workers and the batched engines inside
+  // them all lease from ThreadBudget::process(), and give it all back.
+  const Graph g = make_grid2d(24, 24);
+  const auto solver = make_solver("fusion_fission:threads=4");
+  ProcessInUseProbe probe;
+  SolverRequest request = step_request(8, 2006, 3000);
+  request.recorder = &probe;
+  const auto ungoverned = PortfolioRunner(solver, {3, 2}).run(g, request);
+  expect_process_budget_used_and_returned(probe);
+
+  ThreadBudget one(1);
+  PortfolioOptions options{3, 2};
+  options.budget = &one;
+  SolverRequest governed = step_request(8, 2006, 3000);
+  governed.budget = &one;
+  const auto reference = PortfolioRunner(solver, options).run(g, governed);
+  expect_same_best(ungoverned, reference);
+}
+
+TEST(Portfolio, UngovernedBatchedRunLeasesFromTheProcessBudget) {
+  const Graph g = make_grid2d(24, 24);
+  FusionFissionOptions options;
+  options.threads = 4;
+  options.seed = 2006;
+  ProcessInUseProbe probe;
+  const auto ungoverned = FusionFission(g, 8, options)
+                              .run(StopCondition::after_steps(3000), &probe);
+  expect_process_budget_used_and_returned(probe);
+
+  ThreadBudget one(1);
+  options.budget = &one;
+  const auto reference =
+      FusionFission(g, 8, options).run(StopCondition::after_steps(3000));
+  expect_same_best(ungoverned, reference);
 }
 
 }  // namespace

@@ -12,7 +12,10 @@
 //            --restarts 8 --threads 4
 #include <cstdio>
 #include <iostream>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "ffp/api.hpp"
@@ -23,16 +26,22 @@
 
 namespace {
 
-std::vector<std::int64_t> parse_int_list(const std::string& csv) {
-  std::vector<std::int64_t> out;
+/// Comma-separated values of `flag`, each read by `parse` (a
+/// util/strings.hpp parser); empty tokens are skipped.
+template <typename T>
+std::vector<T> parse_list(const std::string& csv, const char* flag,
+                          std::optional<T> (*parse)(std::string_view)) {
+  std::vector<T> out;
   std::size_t start = 0;
   while (start <= csv.size()) {
     const auto comma = csv.find(',', start);
     const auto token = csv.substr(
         start, comma == std::string::npos ? std::string::npos : comma - start);
     if (!token.empty()) {
-      const auto v = ffp::parse_int(token);
-      FFP_CHECK(v.has_value(), "bad integer in --args: '", token, "'");
+      const auto v = parse(token);
+      FFP_CHECK(v.has_value(), "bad ",
+                std::is_integral_v<T> ? "integer" : "number", " in ", flag,
+                ": '", token, "'");
       out.push_back(*v);
     }
     if (comma == std::string::npos) break;
@@ -60,7 +69,7 @@ int main(int argc, char** argv) {
       return 0;
     }
     const std::string family = args.get("family");
-    const auto dims = parse_int_list(args.get("args"));
+    const auto dims = parse_list(args.get("args"), "--args", ffp::parse_int);
     const auto seed = static_cast<std::uint64_t>(args.get_int("seed"));
     auto dim = [&](std::size_t i, std::int64_t fallback) -> long long {
       return dims.size() > i ? dims[i] : fallback;
@@ -109,10 +118,9 @@ int main(int argc, char** argv) {
 
     const std::string wspec = args.get("weights");
     if (!wspec.empty()) {
-      const auto range = parse_int_list(wspec);
+      const auto range = parse_list(wspec, "--weights", ffp::parse_double);
       FFP_CHECK(range.size() == 2, "--weights expects lo,hi");
-      g = ffp::with_random_weights(g, static_cast<double>(range[0]),
-                                   static_cast<double>(range[1]), seed ^ 0xb5);
+      g = ffp::with_random_weights(g, range[0], range[1], seed ^ 0xb5);
     }
 
     std::fprintf(stderr, "%s\n", g.summary().c_str());
