@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <map>
 #include <sstream>
+#include <unordered_map>
 #include <utility>
 
 #include "evolve/plan.hpp"
@@ -55,6 +56,46 @@ const std::string& payload_field(
   FFP_CHECK(it != fields.end(), "journal payload is missing '", key, "'");
   return it->second;
 }
+
+/// One live copy per graph content. Jobs and reloaded cache entries take
+/// their graph from here, so equal graphs read or built through different
+/// Problems end up as one Graph. Slots are weak: the store never keeps a
+/// graph alive, the jobs and cached results that use it do.
+class GraphStore {
+ public:
+  /// The live graph whose content equals *g, or g itself (then stored)
+  /// when there is none. A digest match alone never swaps graphs: the
+  /// content must be byte-equal too, unless it is the same object.
+  std::shared_ptr<const Graph> share(std::shared_ptr<const Graph> g,
+                                     std::uint64_t digest) {
+    // A non-owning view (Problem::viewing) neither joins nor reads the
+    // store: its caller keeps that graph alive, and results on it must
+    // point at it.
+    if (g.use_count() == 0) return g;
+    std::lock_guard lock(mu_);
+    const auto [first, last] = slots_.equal_range(digest);
+    for (auto it = first; it != last; ++it) {
+      auto live = it->second.lock();
+      if (live == g) return g;
+      if (live != nullptr && same_content(*live, *g)) return live;
+    }
+    std::erase_if(slots_,
+                  [](const auto& slot) { return slot.second.expired(); });
+    slots_.emplace(digest, g);
+    return g;
+  }
+
+ private:
+  std::mutex mu_;
+  std::unordered_multimap<std::uint64_t, std::weak_ptr<const Graph>> slots_;
+};
+
+/// A reloaded cache entry: the result owns its graph (Partition holds a
+/// Graph*), so the graph lives exactly as long as someone holds the result.
+struct ReloadedResult {
+  std::shared_ptr<const Graph> graph;
+  SolverResult result;
+};
 
 }  // namespace
 
@@ -244,12 +285,14 @@ struct SolveHandle::EngineState {
     const std::string expect =
         format("g%016llx|", static_cast<unsigned long long>(problem.digest()));
     FFP_CHECK(key.rfind(expect, 0) == 0, "cache entry digest mismatch");
-    std::shared_ptr<const Graph> g = problem.share();
-    SolverResult res{Partition::from_assignment(*g, parts), value, seconds,
-                     {}};
-    // Results reference their graph; pin it for the engine's lifetime.
-    pinned_graphs.push_back(std::move(g));
-    cache.put(key, std::make_shared<const SolverResult>(std::move(res)));
+    std::shared_ptr<const Graph> g =
+        graphs.share(problem.share(), problem.digest());
+    const Graph& graph = *g;
+    auto entry = std::make_shared<const ReloadedResult>(ReloadedResult{
+        std::move(g),
+        SolverResult{Partition::from_assignment(graph, parts), value, seconds,
+                     {}}});
+    cache.put(key, std::shared_ptr<const SolverResult>(entry, &entry->result));
   }
 
   ResultCache cache;
@@ -257,8 +300,7 @@ struct SolveHandle::EngineState {
   std::map<std::uint64_t, Pending> pending;
   const std::string state_dir;  ///< empty: persistence off
   std::unique_ptr<persist::Journal> journal;
-  /// Graphs backing reloaded cache entries (Partition holds a Graph*).
-  std::vector<std::shared_ptr<const Graph>> pinned_graphs;
+  GraphStore graphs;
   std::size_t recovered_count = 0;
   /// Declared before the scheduler: portfolio feedback closures hold a raw
   /// pointer to it, so it must outlive the runner threads.
@@ -340,7 +382,7 @@ SolveHandle Engine::submit(const Problem& problem, const SolveSpec& spec,
   }
 
   JobSpec job;
-  job.graph = problem.share();
+  job.graph = impl_->graphs.share(problem.share(), problem.digest());
   job.method = spec.method;
   job.solver = resolved.solver;  // spec resolved once, reused by the runner
   job.k = spec.k;

@@ -11,6 +11,12 @@
 // SolveSpec) in a small LRU, so repeat submissions cost a lookup instead
 // of a solve. Cache hits come back as already-terminal handles.
 //
+// One live Graph per distinct content: submit looks the problem's graph up
+// by digest in a weak store and, when a live graph with byte-equal
+// content is there, runs the job (and points its result) at that copy.
+// Re-reading one file per job therefore keeps one graph, not one per job.
+// Non-owning views (Problem::viewing) are never swapped.
+//
 // Lifetime: handles share ownership of the engine internals, so a handle
 // outliving its Engine can still be waited on (the engine's destructor
 // cancels what is queued and lets running jobs finish, exactly like the

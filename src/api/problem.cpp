@@ -1,6 +1,7 @@
 #include "api/problem.hpp"
 
 #include <bit>
+#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -133,6 +134,16 @@ std::uint64_t graph_digest(const Graph& g) {
   for (const Weight w : g.arc_weights()) fnv.mix(w);
   for (VertexId v = 0; v < g.num_vertices(); ++v) fnv.mix(g.vertex_weight(v));
   return fnv.h;
+}
+
+bool same_content(const Graph& a, const Graph& b) {
+  const auto equal = [](auto x, auto y) {
+    return x.size() == y.size() &&
+           (x.empty() || std::memcmp(x.data(), y.data(), x.size_bytes()) == 0);
+  };
+  return a.num_vertices() == b.num_vertices() && equal(a.xadj(), b.xadj()) &&
+         equal(a.adj(), b.adj()) && equal(a.arc_weights(), b.arc_weights()) &&
+         equal(a.vertex_weights(), b.vertex_weights());
 }
 
 Problem Problem::from_graph(Graph g) {

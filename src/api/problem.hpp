@@ -28,6 +28,12 @@ namespace ffp::api {
 /// cache of tens of entries makes collisions a non-concern).
 std::uint64_t graph_digest(const Graph& g);
 
+/// True iff a and b hold byte-equal copies of what graph_digest hashes:
+/// n, the CSR arrays and both weight lanes (memcmp, so doubles compare by
+/// bit pattern exactly as the digest reads them). Equal digests do not
+/// imply this; it is the check that makes sharing graphs by digest safe.
+bool same_content(const Graph& a, const Graph& b);
+
 class Problem {
  public:
   /// An empty problem; valid() is false and graph() throws.

@@ -10,8 +10,9 @@
 // thread count.
 //
 // Claims are epoch-stamped (partition/part_scratch.hpp): beginning a batch
-// is O(1) amortized, and each claim costs one arc scan over the atom's
-// members plus O(|territory|) stamp probes — no hashing, no allocation
+// is O(1) amortized, and each claim costs at most one arc scan over the
+// atom's members plus O(|territory|) stamp probes — a conflicting claim
+// stops at the first claimed part it meets. No hashing, no allocation
 // after warm-up.
 #pragma once
 

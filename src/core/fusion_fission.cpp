@@ -746,16 +746,16 @@ FusionFissionResult FusionFission::run(const StopCondition& stop,
   // note_partition below seeds best-at-k from it, which is what makes a
   // resumed run monotone with respect to its checkpoint.
   if (recorder != nullptr) recorder->start();
-  Partition start = Partition(*g_, 1);
   if (options_.warm_start != nullptr) {
     FFP_CHECK(static_cast<VertexId>(options_.warm_start->size()) ==
                   g_->num_vertices(),
               "warm_start assignment covers ", options_.warm_start->size(),
               " vertices, graph has ", g_->num_vertices());
-    start = Partition::from_assignment(*g_, *options_.warm_start);
-  } else {
-    start = initialize();
   }
+  Partition start =
+      options_.warm_start != nullptr
+          ? Partition::from_assignment(*g_, *options_.warm_start)
+          : initialize();
 
   State s(std::move(start), options_.objective, g_->num_vertices(),
           options_.law_delta, options_.seed);

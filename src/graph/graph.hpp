@@ -98,6 +98,7 @@ class Graph {
   std::span<const ArcId> xadj() const { return xadj_; }
   std::span<const VertexId> adj() const { return adj_; }
   std::span<const Weight> arc_weights() const { return wgt_; }
+  std::span<const Weight> vertex_weights() const { return vwgt_; }
 
   /// One-line human-readable summary.
   std::string summary() const;

@@ -199,21 +199,13 @@ MlffResult mlff_partition(const Graph& g, int k, const MlffOptions& options,
   FusionFission ff(coarse, k, ffopt);
   FusionFissionResult coarse_res = ff.run(stop, nullptr);
 
-  MlffResult out{Partition(g, 1), 0.0};
-  out.levels = static_cast<int>(chain.size());
-  out.coarse_vertices = coarse.num_vertices();
-  out.coarse_value = coarse_res.best_value;
-  out.coarse_steps = coarse_res.steps;
-  out.fusions = coarse_res.fusions;
-  out.fissions = coarse_res.fissions;
-  out.reheats = coarse_res.reheats;
-  out.batches = coarse_res.batches;
-
   // 3. Project level by level; after each projection run the boundary
   // burst on that level's graph, with the budget halving toward the fine
   // levels (coarse moves are cheap and shape everything below them).
   std::vector<int> parts(coarse_res.best.assignment().begin(),
                          coarse_res.best.assignment().end());
+  std::int64_t refine_attempts = 0;
+  std::int64_t refine_moves = 0;
   std::int64_t level_budget = options.refine_steps;
   for (std::size_t l = chain.size(); l-- > 0;) {
     const Graph& fine_g = l == 0 ? g : chain[l - 1].coarse;
@@ -230,8 +222,8 @@ MlffResult mlff_partition(const Graph& g, int k, const MlffOptions& options,
           Partition::from_assignment(fine_g, parts, k), options.objective);
       const BurstStats burst = boundary_refine(
           fine_g, tracker, options.objective, level_budget, level_seed);
-      out.refine_attempts += burst.attempts;
-      out.refine_moves += burst.moves;
+      refine_attempts += burst.attempts;
+      refine_moves += burst.moves;
       if (burst.moves > 0) {
         const auto refined = std::move(tracker).take();
         parts.assign(refined.assignment().begin(),
@@ -241,10 +233,26 @@ MlffResult mlff_partition(const Graph& g, int k, const MlffOptions& options,
     level_budget /= 2;
   }
 
-  out.best = chain.empty() ? std::move(coarse_res.best)
-                           : Partition::from_assignment(g, parts, k);
-  out.best.compact();
+  // The value is evaluated on freshly summed part statistics: FF returns
+  // its best compacted (which rebuilds them) and a projection is built
+  // fresh, so only a projection that lost parts still needs compacting.
+  MlffResult out{chain.empty() ? std::move(coarse_res.best)
+                               : Partition::from_assignment(g, parts, k),
+                 0.0};
+  if (out.best.num_nonempty_parts() != out.best.num_parts()) {
+    out.best.compact();
+  }
   out.best_value = objective(options.objective).evaluate(out.best);
+  out.levels = static_cast<int>(chain.size());
+  out.coarse_vertices = coarse.num_vertices();
+  out.coarse_value = coarse_res.best_value;
+  out.coarse_steps = coarse_res.steps;
+  out.fusions = coarse_res.fusions;
+  out.fissions = coarse_res.fissions;
+  out.reheats = coarse_res.reheats;
+  out.batches = coarse_res.batches;
+  out.refine_attempts = refine_attempts;
+  out.refine_moves = refine_moves;
 
   // Keep-better guard (the memetic never-worsen rule): a resumed run must
   // not report worse than the partition it restored, even when the

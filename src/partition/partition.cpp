@@ -2,22 +2,29 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <utility>
 
 #include "partition/part_scratch.hpp"
 #include "util/stats.hpp"
 
 namespace ffp {
 
-Partition::Partition(const Graph& g, int num_parts) : g_(&g) {
+Partition::Partition(const Graph& g, int num_parts)
+    : Partition(g,
+                std::vector<int>(static_cast<std::size_t>(g.num_vertices())),
+                num_parts) {}
+
+Partition::Partition(const Graph& g, std::vector<int> parts, int num_parts)
+    : g_(&g), part_(std::move(parts)) {
   FFP_CHECK(num_parts >= 1, "need at least one part");
-  const auto n = static_cast<std::size_t>(g.num_vertices());
-  part_.assign(n, 0);
-  pos_in_part_.assign(n, 0);
-  members_.resize(static_cast<std::size_t>(num_parts));
-  cut_.assign(static_cast<std::size_t>(num_parts), 0.0);
-  internal_.assign(static_cast<std::size_t>(num_parts), 0.0);
-  vweight_.assign(static_cast<std::size_t>(num_parts), 0.0);
-  nonempty_pos_.assign(static_cast<std::size_t>(num_parts), -1);
+  const auto k = static_cast<std::size_t>(num_parts);
+  pos_in_part_.resize(part_.size());
+  members_.resize(k);
+  cut_.resize(k);
+  internal_.resize(k);
+  vweight_.resize(k);
+  nonempty_pos_.resize(k);
   rebuild();
 }
 
@@ -34,20 +41,14 @@ Partition Partition::from_assignment(const Graph& g, std::span<const int> parts,
   for (int p : parts) {
     FFP_CHECK(p >= 0 && p < k, "part id ", p, " out of range [0,", k, ")");
   }
-  Partition out(g, k);
-  std::copy(parts.begin(), parts.end(), out.part_.begin());
-  out.rebuild();
-  return out;
+  return Partition(g, std::vector<int>(parts.begin(), parts.end()), k);
 }
 
 Partition Partition::singletons(const Graph& g) {
   FFP_CHECK(g.num_vertices() >= 1, "empty graph");
-  Partition out(g, g.num_vertices());
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    out.part_[static_cast<std::size_t>(v)] = v;
-  }
-  out.rebuild();
-  return out;
+  std::vector<int> ids(static_cast<std::size_t>(g.num_vertices()));
+  std::iota(ids.begin(), ids.end(), 0);
+  return Partition(g, std::move(ids), g.num_vertices());
 }
 
 void Partition::rebuild() {

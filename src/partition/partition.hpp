@@ -131,6 +131,9 @@ class Partition {
     FFP_DCHECK(p >= 0 && p < num_parts(), "part id out of range");
     return static_cast<std::size_t>(p);
   }
+  /// Adopts `parts` (ids in [0, num_parts), unchecked) and computes every
+  /// statistic with one rebuild — the one path all builders share.
+  Partition(const Graph& g, std::vector<int> parts, int num_parts);
   void rebuild();  // full recompute of stats from part_
 
   const Graph* g_ = nullptr;

@@ -1,5 +1,7 @@
 #include "service/service.hpp"
 
+#include <sys/stat.h>
+
 #include <iterator>
 #include <utility>
 #include <vector>
@@ -27,6 +29,16 @@ api::EngineOptions engine_options(const ServiceOptions& options) {
 ServiceHost::ServiceHost(ServiceOptions options)
     : options_(std::move(options)), engine_(engine_options(options_)) {}
 
+ServiceHost::FileStamp ServiceHost::file_stamp(const std::string& path) {
+  struct stat st {};
+  if (::stat(path.c_str(), &st) != 0) return {};
+  return {static_cast<std::int64_t>(st.st_dev),
+          static_cast<std::int64_t>(st.st_ino),
+          static_cast<std::int64_t>(st.st_size),
+          static_cast<std::int64_t>(st.st_mtim.tv_sec),
+          static_cast<std::int64_t>(st.st_mtim.tv_nsec)};
+}
+
 api::Problem ServiceHost::load_problem(const Request& request) {
   if (request.inline_graph != nullptr) {
     return api::Problem::from_shared(request.inline_graph);
@@ -35,10 +47,14 @@ api::Problem ServiceHost::load_problem(const Request& request) {
     throw Error("graph_file submissions are disabled on this server "
                 "(inline 'graph' only)");
   }
+  // Stamped before the read: a file rewritten while it is being read
+  // carries a newer stamp than its entry, and is read again next time.
+  const FileStamp stamp = file_stamp(request.graph_file);
   {
     std::lock_guard lock(mu_);
     const auto it = graph_cache_.find(request.graph_file);
-    if (it != graph_cache_.end()) {
+    if (it != graph_cache_.end() && it->second.stamp == stamp &&
+        stamp != FileStamp{}) {
       if (auto cached = it->second.graph.lock()) {
         return api::Problem::from_shared_with_digest(
             std::move(cached), it->second.digest,
@@ -49,7 +65,7 @@ api::Problem ServiceHost::load_problem(const Request& request) {
   // Parse (and digest) outside mu_ — a big (or slow) file must not stall
   // concurrent sessions resolving other paths. A concurrent submit of the
   // same path may parse twice; last one in wins the cache slot, both
-  // graphs are equal, and the losers die with their jobs.
+  // graphs are equal, and the engine's graph store keeps only one of them.
   auto graph = std::make_shared<const Graph>(
       read_chaco_file(request.graph_file, options_.limits.graph));
   const std::uint64_t digest = api::graph_digest(*graph);
@@ -60,7 +76,7 @@ api::Problem ServiceHost::load_problem(const Request& request) {
   for (auto it = graph_cache_.begin(); it != graph_cache_.end();) {
     it = it->second.graph.expired() ? graph_cache_.erase(it) : std::next(it);
   }
-  graph_cache_[request.graph_file] = {graph, digest};
+  graph_cache_[request.graph_file] = {graph, digest, stamp};
   return api::Problem::from_shared_with_digest(std::move(graph), digest,
                                                "file:" + request.graph_file);
 }

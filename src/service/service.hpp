@@ -20,7 +20,7 @@
 // `allow_files = false` turns graph_file submissions off entirely. Graphs
 // named by the same path are parsed once and shared across jobs and
 // sessions (weak cache), which is what makes a burst of jobs on one mesh
-// cheap.
+// cheap; an entry serves only while the file's stat identity is unchanged.
 //
 // Lifetime: a session destroyed with jobs still pending cancels them. A
 // sync-result session (stdio) then waits for them; an async-result one
@@ -32,6 +32,7 @@
 // vanished TCP client stops burning runners.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <functional>
 #include <map>
@@ -124,11 +125,19 @@ class ServiceHost {
  private:
   /// Weak graph plus its memoized content digest, so repeat submissions of
   /// a cached path never rescan the CSR arrays (the digest is the cache
-  /// key half and would otherwise be recomputed per request).
+  /// key half and would otherwise be recomputed per request), and the
+  /// stamp of the file it was read from — st_dev, st_ino, st_size and
+  /// st_mtim: the entry serves only while the file still has that stamp,
+  /// so a rewritten or replaced file is read again.
+  using FileStamp = std::array<std::int64_t, 5>;
   struct CachedGraph {
     std::weak_ptr<const Graph> graph;
     std::uint64_t digest = 0;
+    FileStamp stamp{};
   };
+  /// The stamp of `path`; all zeros when it cannot be stat'ed (the read
+  /// that follows reports why), which no cached entry ever matches.
+  static FileStamp file_stamp(const std::string& path);
 
   ServiceOptions options_;
   std::mutex mu_;  ///< graph cache

@@ -11,11 +11,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "graph/generators.hpp"
+#include "graph/io.hpp"
+#include "persist/atomic_file.hpp"
 #include "runtime/thread_budget.hpp"
 #include "solver/portfolio.hpp"
 #include "solver/registry.hpp"
@@ -340,6 +344,113 @@ TEST(EngineCache, WallClockSolvesNeverTouchTheCache) {
   engine.solve(problem, spec);
   EXPECT_EQ(engine.cache_counters().hits, 0);
   EXPECT_EQ(engine.cache_counters().misses, 0);
+}
+
+// ---------------------------------------------------------- graph store ----
+
+/// Writes `g` as a Chaco file under the test temp root and returns its path.
+std::string temp_graph_file(const std::string& name, const Graph& g) {
+  const std::string path = ::testing::TempDir() + "/" + name;
+  write_chaco_file(g, path);
+  return path;
+}
+
+JobStatus solved(api::Engine& engine, const api::Problem& problem,
+                 const api::SolveSpec& spec) {
+  const JobStatus status = engine.submit(problem, spec).wait();
+  EXPECT_EQ(status.state, JobState::Done);
+  EXPECT_NE(status.result, nullptr);
+  return status;
+}
+
+api::SolveSpec store_spec(std::uint64_t seed) {
+  api::SolveSpec spec;
+  spec.k = 4;
+  spec.seed = seed;
+  spec.steps = 400;
+  return spec;
+}
+
+// Two reads of one file are two Graph objects; the engine runs both jobs
+// on one of them (cache off, so this is the store, not a cache hit).
+TEST(EngineGraphStore, RereadFilesShareOneGraph) {
+  const std::string path =
+      temp_graph_file("ffp_store_reread.graph", make_grid2d(12, 12));
+  const api::Problem a = api::Problem::from_file(path);
+  const api::Problem b = api::Problem::from_file(path);
+  ASSERT_NE(&a.graph(), &b.graph());
+
+  api::Engine engine;
+  const JobStatus first = solved(engine, a, store_spec(1));
+  const JobStatus second = solved(engine, b, store_spec(2));
+  ASSERT_NE(first.result, nullptr);
+  ASSERT_NE(second.result, nullptr);
+  EXPECT_EQ(&first.result->best.graph(), &a.graph());
+  EXPECT_EQ(&second.result->best.graph(), &a.graph());
+  std::remove(path.c_str());
+}
+
+// Same n, m and structure, one edge reweighted: never shared, not even
+// under an equal digest (injected here to stand in for a collision).
+TEST(EngineGraphStore, DifferentWeightsAreNotShared) {
+  const Graph base = make_grid2d(8, 8);
+  std::vector<Weight> weights(base.arc_weights().begin(),
+                              base.arc_weights().end());
+  // Arc 0 is 0->1; its mirror 1->0 is vertex 1's first arc.
+  ASSERT_EQ(base.adj()[0], 1);
+  ASSERT_EQ(base.adj()[static_cast<std::size_t>(base.xadj()[1])], 0);
+  weights[0] = 2.0;
+  weights[static_cast<std::size_t>(base.xadj()[1])] = 2.0;
+  auto heavier = std::make_shared<const Graph>(Graph::from_csr(
+      {base.xadj().begin(), base.xadj().end()},
+      {base.adj().begin(), base.adj().end()}, std::move(weights)));
+  ASSERT_EQ(heavier->num_vertices(), base.num_vertices());
+  ASSERT_EQ(heavier->num_edges(), base.num_edges());
+
+  const api::Problem light = api::Problem::from_graph(base);
+  const api::Problem heavy =
+      api::Problem::from_shared_with_digest(heavier, light.digest());
+  api::Engine engine;
+  const JobStatus a = solved(engine, light, store_spec(1));
+  const JobStatus b = solved(engine, heavy, store_spec(1));
+  ASSERT_NE(a.result, nullptr);
+  ASSERT_NE(b.result, nullptr);
+  EXPECT_EQ(&a.result->best.graph(), &light.graph());
+  EXPECT_EQ(&b.result->best.graph(), heavier.get());
+  EXPECT_EQ(b.result->best.graph().edge_weight(0, 1), 2.0);
+}
+
+// Persisted cache entries reload through the store: two entries on one
+// graph file pin a single Graph between them.
+TEST(EngineGraphStore, ReloadedCacheEntriesPinOneGraph) {
+  const std::string path =
+      temp_graph_file("ffp_store_reload.graph", make_grid2d(10, 10));
+  const std::string dir = ::testing::TempDir() + "/ffp_store_state";
+  for (const std::string& f : persist::list_dir(dir + "/cache")) {
+    persist::remove_file(dir + "/cache/" + f);
+  }
+  persist::remove_file(dir + "/journal.rec");
+  api::EngineOptions options;
+  options.state_dir = dir;
+  {
+    api::Engine engine(options);
+    solved(engine, api::Problem::from_file(path), store_spec(1));
+    solved(engine, api::Problem::from_file(path), store_spec(2));
+  }
+  api::Engine engine(options);
+  const api::SolveHandle h1 =
+      engine.submit(api::Problem::from_file(path), store_spec(1));
+  const api::SolveHandle h2 =
+      engine.submit(api::Problem::from_file(path), store_spec(2));
+  ASSERT_TRUE(h1.cached());
+  ASSERT_TRUE(h2.cached());
+  const JobStatus s1 = h1.wait();
+  const JobStatus s2 = h2.wait();
+  ASSERT_NE(s1.result, nullptr);
+  ASSERT_NE(s2.result, nullptr);
+  EXPECT_EQ(&s1.result->best.graph(), &s2.result->best.graph());
+  EXPECT_EQ(s1.result->best.graph().num_vertices(), 100);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -177,6 +177,36 @@ TEST(ServiceSession, FilePolicyAndFileSubmissions) {
   std::remove(path.c_str());
 }
 
+// The per-path graph cache serves a path only while its file is the one
+// that was read: a rewrite in place is read again, even while jobs on the
+// old graph are still held by the engine.
+TEST(ServiceHost, RewrittenGraphFileIsReadAgain) {
+  const std::string path = ::testing::TempDir() + "/ffp_service_rewrite.graph";
+  write_chaco_file(make_grid2d(8, 8), path);
+  Request request;
+  request.graph_file = path;
+
+  Harness h;
+  const api::Problem first = h.host.load_problem(request);
+  EXPECT_EQ(first.graph().num_vertices(), 64);
+  // Unchanged file: the live cached graph, no second read.
+  EXPECT_EQ(h.host.load_problem(request).share(), first.share());
+  std::string quoted;
+  json_append_quoted(quoted, path);
+  h.feed(R"({"op":"submit","id":"a","graph_file":)" + quoted +
+         R"(,"k":4,"steps":300})");
+  h.feed(R"({"op":"result","id":"a"})");
+  EXPECT_EQ(h.last().find("partition")->as_array().size(), 64u);
+
+  write_chaco_file(make_grid2d(16, 16), path);
+  EXPECT_EQ(h.host.load_problem(request).graph().num_vertices(), 256);
+  h.feed(R"({"op":"submit","id":"b","graph_file":)" + quoted +
+         R"(,"k":4,"steps":300})");
+  h.feed(R"({"op":"result","id":"b"})");
+  EXPECT_EQ(h.last().find("partition")->as_array().size(), 256u);
+  std::remove(path.c_str());
+}
+
 TEST(ServiceSession, CancelMidRunReturnsAnytimeResult) {
   Harness h;
   h.feed(
